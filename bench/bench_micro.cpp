@@ -190,7 +190,10 @@ void BM_MobileObjectSpillLoad(benchmark::State& state) {
   std::size_t i = 0;
   for (auto _ : state) {
     rt.send(ptrs[i % 4], touch, std::vector<std::byte>{});
-    while (rt.progress_once()) {
+    // progress_once() reports no work while the reload is still on the I/O
+    // thread; the spill+reload is done only when the node is idle.
+    while (!rt.is_idle()) {
+      rt.progress_once();
     }
     ++i;
   }

@@ -76,11 +76,11 @@ struct ChaosPlan {
   /// derived pauses all key off it.
   std::uint64_t seed = 1;
   /// Storage faults (rates/schedule); installed when any field is active.
-  storage::FaultPlan storage;
+  storage::FaultPlan storage{};
   /// Network faults; installed when any rate or drop_handler is set.
-  net::NetFaultPlan net;
+  net::NetFaultPlan net{};
   /// Explicit node pauses.
-  std::vector<PauseWindow> pauses;
+  std::vector<PauseWindow> pauses{};
   /// Additionally derive this many seeded random pause windows.
   std::size_t random_pauses = 0;
   std::uint64_t max_pause_steps = 32;
@@ -100,7 +100,7 @@ struct ChaosPlan {
   /// Gray failures: degraded-but-Up nodes (slow disk, stalling NIC, short
   /// stall bursts). Latency only, never loss — the node keeps answering,
   /// just late, which is exactly what the fail-stop machinery cannot see.
-  DegradedFaultPlan degraded;
+  DegradedFaultPlan degraded{};
   /// Slack the budget invariant allows over each node's memory budget
   /// (reloads may legally overshoot while queues drain).
   std::size_t budget_overshoot_bytes = 1u << 20;

@@ -14,14 +14,20 @@ namespace mrts::core {
 
 // Spill and migration blobs carry their own CRC (storage::seal_blob) so
 // corruption introduced anywhere between serialization and deserialization
-// (including below a CRC-checking backend) is detected at reload. Storage
-// seal failures are Status-handled by the recovery ladder; only the wire
-// paths (migration install), where a bad seal means a broken transport
-// rather than a sick disk, still treat it as fatal.
+// (including below a CRC-checking backend) is detected at reload. Each blob
+// is checksummed once per hop: the control thread seals it at spill; the
+// I/O thread verifies a reload's seal in start_load's callback, so the
+// control thread only compares the trailer with Entry::blob_crc and
+// deserializes the verified payload. Recovery rungs (the synchronous
+// re-load, the checkpoint copy, crash export) verify in full with
+// blob_matches. Storage seal failures are Status-handled by the recovery
+// ladder; only the wire paths (migration install), where a bad seal means a
+// broken transport rather than a sick disk, still treat it as fatal.
 using storage::seal_blob;
 using storage::sealed_blob_valid;
 using storage::sealed_crc;
 using storage::unseal_blob;
+using storage::verified_payload;
 using storage::write_sealed;
 
 Runtime::Runtime(NodeId node, net::Endpoint& endpoint,
@@ -1062,9 +1068,15 @@ void Runtime::start_load(Entry& e, MobilePtr ptr) {
   ++outstanding_loads_;
   store_.load_async(ptr.id, [this, ptr](
                                 util::Result<std::vector<std::byte>> result) {
-    std::lock_guard lock(completions_mutex_);
+    // Runs on the I/O thread (inline under synchronous_storage): the seal
+    // is verified here, outside the lock, so the control thread only
+    // compares the trailer with the entry's blob_crc.
     Completion c{ptr.id, /*is_load=*/true, result.status(), {}};
-    if (result.is_ok()) c.bytes = std::move(result).value();
+    if (result.is_ok()) {
+      c.bytes = std::move(result).value();
+      c.sealed = sealed_blob_valid(c.bytes);
+    }
+    std::lock_guard lock(completions_mutex_);
     completions_.push_back(std::move(c));
     completions_available_.fetch_add(1, std::memory_order_release);
   });
@@ -1091,7 +1103,7 @@ bool Runtime::drain_completions() {
     if (c.is_load) {
       --outstanding_loads_;
       if (e == nullptr) continue;  // destroyed mid-flight
-      if (c.status.is_ok() && blob_matches(*e, c.bytes)) {
+      if (c.status.is_ok() && c.sealed && sealed_crc(c.bytes) == e->blob_crc) {
         finish_load(*e, ptr, std::move(c.bytes));
         continue;
       }
@@ -1147,14 +1159,12 @@ bool Runtime::blob_matches(const Entry& e,
 void Runtime::finish_load(Entry& e, MobilePtr ptr,
                           std::vector<std::byte> bytes) {
   assert(e.state == Residency::kLoading);
-  auto payload = unseal_blob(bytes);
-  assert(payload.is_ok());  // callers verify the seal before installing
   auto obj = registry_.create(e.type);
   {
     obs::ChargedSpan span(obs::Cat::kComp, "load.deserialize",
                           static_cast<std::uint16_t>(node_),
                           &counters_.comp_time);
-    util::ByteReader reader(payload.value());
+    util::ByteReader reader(verified_payload(bytes));
     obj->deserialize(reader);
   }
   e.obj = std::move(obj);
@@ -1240,13 +1250,12 @@ void Runtime::recover_failed_store(MobilePtr ptr, Entry& e,
     poison_object(ptr, e, FailureOp::kStore, cause);
     return;
   }
-  auto payload = unseal_blob(bytes);
   auto obj = registry_.create(e.type);
   {
     obs::ChargedSpan span(obs::Cat::kComp, "spill.reinstall",
                           static_cast<std::uint16_t>(node_),
                           &counters_.comp_time);
-    util::ByteReader reader(payload.value());
+    util::ByteReader reader(verified_payload(bytes));
     obj->deserialize(reader);
   }
   e.obj = std::move(obj);

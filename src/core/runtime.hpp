@@ -547,6 +547,9 @@ class Runtime {
     /// serializes (recorded on the entry only on success).
     std::size_t spill_bytes = 0;
     std::uint64_t spill_gen = 0;
+    /// Loads only: the I/O thread's verdict that `bytes` is an intact sealed
+    /// blob (sealed_blob_valid), so draining it costs no checksum pass.
+    bool sealed = false;
   };
 
   // wire protocol -----------------------------------------------------------
@@ -590,6 +593,8 @@ class Runtime {
   bool run_ready_object();
   void execute_message(MobilePtr ptr, Entry& e, QueuedMessage& msg);
   bool drain_completions();
+  /// Installs the object from `bytes`, a sealed blob the caller has already
+  /// verified against e.blob_crc; its payload is not checksummed again.
   void finish_load(Entry& e, MobilePtr ptr, std::vector<std::byte> bytes);
   /// True when the sealed bytes are intact and match the entry's blob_crc.
   [[nodiscard]] bool blob_matches(const Entry& e,

@@ -41,7 +41,7 @@ struct RefineOptions {
   /// Minimum-angle goal in degrees. Termination is guaranteed below
   /// ~20.7 degrees; the default stays under that bound.
   double min_angle_deg = 20.0;
-  SizeField size_field;  // optional
+  SizeField size_field{};  // optional
 };
 
 struct RefineLimits {

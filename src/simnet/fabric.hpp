@@ -87,12 +87,12 @@ struct NetFaultPlan {
   std::uint32_t max_delay_steps = 8;
   /// Deliberate bug injection: every message addressed to this AM handler
   /// is dropped (e.g. location updates, to starve the lazy directory).
-  std::optional<AmHandlerId> drop_handler;
+  std::optional<AmHandlerId> drop_handler{};
   /// Bounds drop_handler to virtual-step windows: with a non-empty list the
   /// handler's messages are dropped only while the driver's current step
   /// falls inside one of them, so a starvation drill can END and recovery
   /// afterward is assertable. Empty = drop forever (the legacy drill).
-  std::vector<StepWindow> drop_handler_windows;
+  std::vector<StepWindow> drop_handler_windows{};
   /// Gray failure: a stalling NIC. Every message SENT by `node` while the
   /// driver's step is in [begin_step, end_step) is parked for a FIXED
   /// `delay_steps` — no RNG draw is consumed, so adding windows leaves the
@@ -105,7 +105,7 @@ struct NetFaultPlan {
     std::uint64_t end_step = 0;
     std::uint32_t delay_steps = 2;
   };
-  std::vector<DegradedLink> degraded_links;
+  std::vector<DegradedLink> degraded_links{};
   std::uint64_t seed = 1;
 
   [[nodiscard]] bool any() const {

@@ -34,7 +34,7 @@ struct DegradedWindow {
 /// scoring is relative, not absolute.
 struct DegradedPlan {
   std::uint64_t base_op_us = 50;
-  std::vector<DegradedWindow> windows;
+  std::vector<DegradedWindow> windows{};
   /// Node id stamped into nothing yet; kept for symmetry with FaultPlan and
   /// used by the chaos trace notes at derivation time.
   std::uint32_t tag = 0;

@@ -70,13 +70,13 @@ struct FaultPlan {
   std::chrono::microseconds latency_spike{500};
   /// Deterministic fault bursts by operation index, overriding the base
   /// rates above while active.
-  std::vector<FaultWindow> schedule;
+  std::vector<FaultWindow> schedule{};
   std::uint64_t seed = 42;
   /// Opaque tag copied into every StoreFaultEvent (the cluster sets the
   /// owning node id here).
   std::uint32_t tag = 0;
   /// Called (outside the decision lock) for every injected fault.
-  std::function<void(const StoreFaultEvent&)> observer;
+  std::function<void(const StoreFaultEvent&)> observer{};
 };
 
 class FaultStore final : public StorageBackend {

@@ -1,5 +1,6 @@
 #include "storage/sealed_blob.hpp"
 
+#include <cassert>
 #include <cstring>
 
 #include "util/crc32.hpp"
@@ -40,6 +41,11 @@ util::Result<std::span<const std::byte>> unseal_blob(
                         "sealed blob failed checksum verification");
   }
   return payload;
+}
+
+std::span<const std::byte> verified_payload(std::span<const std::byte> blob) {
+  assert(blob.size() >= sizeof(std::uint32_t));
+  return blob.first(blob.size() - sizeof(std::uint32_t));
 }
 
 }  // namespace mrts::storage

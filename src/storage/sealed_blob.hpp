@@ -55,4 +55,10 @@ void write_sealed(util::ByteWriter& w, Fn&& fn) {
 [[nodiscard]] util::Result<std::span<const std::byte>> unseal_blob(
     std::span<const std::byte> blob);
 
+/// The payload view of a sealed blob whose seal the caller has already
+/// verified (sealed_blob_valid): the blob minus its CRC trailer, without a
+/// second checksum pass.
+[[nodiscard]] std::span<const std::byte> verified_payload(
+    std::span<const std::byte> blob);
+
 }  // namespace mrts::storage

@@ -29,8 +29,11 @@ void TaskGroup::run(TaskFn fn) {
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
   pool_.submit([this, fn = std::move(fn)] {
     fn();
+    // Decrement under the lock: wait() takes mutex_ after it sees zero, so
+    // the finishing task is done with mutex_ and cv_ before wait() returns
+    // and the group can be destroyed.
+    std::lock_guard lock(mutex_);
     if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard lock(mutex_);
       cv_.notify_all();
     }
   });
@@ -47,6 +50,9 @@ void TaskGroup::wait() {
       return outstanding_.load(std::memory_order_acquire) == 0;
     });
   }
+  // The last task may still hold mutex_ right after its decrement; wait for
+  // it to let go.
+  std::lock_guard lock(mutex_);
 }
 
 }  // namespace mrts::tasking

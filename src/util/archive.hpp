@@ -181,7 +181,9 @@ class ByteReader {
   std::vector<T> read_vector() {
     const auto n = read_length(sizeof(T));
     std::vector<T> v(n);
-    std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
+    // An empty vector's data() may be null, which memcpy must not receive
+    // even for a zero-byte copy.
+    if (n != 0) std::memcpy(v.data(), bytes_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;
   }

@@ -182,7 +182,7 @@ TEST_F(CheckpointTest, PendingQueuesSurviveRestore) {
 
 TEST_F(CheckpointTest, MismatchedClusterIsRejected) {
   World w;
-  auto [p, box] = w.cluster->node(0).create<Box>(w.type);
+  w.cluster->node(0).create<Box>(w.type);
   ASSERT_TRUE(checkpoint_cluster(*w.cluster, dir_).is_ok());
 
   ClusterOptions other;

@@ -37,13 +37,6 @@ std::vector<std::byte> arg_u64(std::uint64_t v) {
   return w.take();
 }
 
-std::vector<std::byte> arg_2u64(std::uint64_t a, std::uint64_t b) {
-  util::ByteWriter w;
-  w.write(a);
-  w.write(b);
-  return w.take();
-}
-
 class ClusterTest : public ::testing::Test {
  protected:
   explicit ClusterTest(std::size_t nodes = 4, std::size_t budget_mb = 64) {

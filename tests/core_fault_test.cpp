@@ -30,6 +30,40 @@ class Box : public MobileObject {
   }
 };
 
+/// Flips one byte of the first blob loaded; every later load (the recovery
+/// ladder's synchronous re-load included) reads the intact blob.
+class CorruptFirstLoad final : public storage::StorageBackend {
+ public:
+  util::Status store(storage::ObjectKey key,
+                     std::span<const std::byte> bytes) override {
+    return inner_.store(key, bytes);
+  }
+  util::Result<std::vector<std::byte>> load(storage::ObjectKey key) override {
+    auto loaded = inner_.load(key);
+    if (loads_.fetch_add(1) == 0 && loaded.is_ok()) {
+      std::vector<std::byte> bytes = std::move(loaded).value();
+      bytes[bytes.size() / 2] ^= std::byte{0x5A};
+      return bytes;
+    }
+    return loaded;
+  }
+  util::Status erase(storage::ObjectKey key) override {
+    return inner_.erase(key);
+  }
+  bool contains(storage::ObjectKey key) const override {
+    return inner_.contains(key);
+  }
+  std::size_t count() const override { return inner_.count(); }
+  std::uint64_t stored_bytes() const override { return inner_.stored_bytes(); }
+  storage::BackendStats stats() const override { return inner_.stats(); }
+
+  [[nodiscard]] std::uint64_t loads() const { return loads_.load(); }
+
+ private:
+  storage::MemStore inner_;
+  std::atomic<std::uint64_t> loads_{0};
+};
+
 struct Harness {
   net::Fabric fabric{1};
   ObjectTypeRegistry registry;
@@ -38,16 +72,19 @@ struct Harness {
   HandlerId h_add = 0;
 
   explicit Harness(storage::FaultPlan plan, std::size_t budget_kb = 256,
-                   bool recovery_enabled = true) {
+                   bool recovery_enabled = true)
+      : Harness(std::make_unique<storage::FaultStore>(
+                    std::make_unique<storage::MemStore>(), std::move(plan)),
+                budget_kb, recovery_enabled) {}
+
+  explicit Harness(std::unique_ptr<storage::StorageBackend> backend,
+                   std::size_t budget_kb = 256, bool recovery_enabled = true) {
     RuntimeOptions options;
     options.ooc.memory_budget_bytes = budget_kb << 10;
     options.storage_retry.max_retries = 12;  // ride out bursts of injected faults
     options.recovery.enabled = recovery_enabled;
-    rt = std::make_unique<Runtime>(
-        0, fabric.endpoint(0), registry,
-        std::make_unique<storage::FaultStore>(
-            std::make_unique<storage::MemStore>(), plan),
-        options);
+    rt = std::make_unique<Runtime>(0, fabric.endpoint(0), registry,
+                                   std::move(backend), options);
     type = registry.register_type<Box>("box");
     h_add = registry.register_handler(
         type, [](Runtime&, MobileObject& obj, MobilePtr, NodeId,
@@ -139,6 +176,40 @@ TEST(FaultInjection, CorruptedBlobPoisonsObjectInsteadOfDeserializing) {
   h.pump();
   EXPECT_GT(h.rt->counters().poisoned_messages_dropped.load(),
             dropped_before);
+}
+
+TEST(FaultInjection, CorruptReloadIsRejectedOnTheIoThreadAndHealedByRetry) {
+  // Threaded I/O: the first reload comes back corrupted. The I/O thread's
+  // seal verdict must route it to the recovery ladder, never to
+  // deserialize(), and the ladder's synchronous re-load reads the intact
+  // blob.
+  auto backend = std::make_unique<CorruptFirstLoad>();
+  const CorruptFirstLoad* store = backend.get();
+  Harness h(std::move(backend));
+  ASSERT_FALSE(h.rt->options().synchronous_storage);
+  std::vector<MobilePtr> ptrs;
+  for (int i = 0; i < 16; ++i) ptrs.push_back(h.make_box(8000));
+  h.pump();
+  h.rt->flush_stores();
+  MobilePtr cold = kNullPtr;
+  for (MobilePtr p : ptrs) {
+    if (!h.rt->is_in_core(p)) cold = p;
+  }
+  ASSERT_FALSE(cold.is_null()) << "budget did not force any spills";
+  ASSERT_EQ(store->loads(), 0u);
+  h.rt->send(cold, h.h_add, Harness::arg_u64(5));
+  h.pump();
+  EXPECT_TRUE(h.rt->is_idle());
+  EXPECT_EQ(store->loads(), 2u);  // the corrupted async reload, the retry
+  EXPECT_EQ(h.rt->counters().loads_recovered.load(), 1u);
+  EXPECT_EQ(h.rt->counters().objects_poisoned.load(), 0u);
+  EXPECT_EQ(h.rt->object_health(cold), ObjectHealth::kHealthy);
+  h.rt->lock_in_core(cold);
+  h.pump();
+  const auto* box = static_cast<const Box*>(h.rt->peek(cold));
+  ASSERT_NE(box, nullptr);
+  EXPECT_EQ(box->value, 5u);
+  EXPECT_EQ(box->data, std::vector<std::uint64_t>(8000, 3));
 }
 
 TEST(FaultInjection, CorruptedBlobThrowsWhenRecoveryDisabled) {

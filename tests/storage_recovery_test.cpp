@@ -62,6 +62,34 @@ TEST(SealedBlob, WriteSealedMatchesSealAndCopyByteForByte) {
   EXPECT_EQ(body.read_string(), "payload");
 }
 
+TEST(SealedBlob, GoldenBytesPinTheOnDiskFormat) {
+  // Exact bytes of a sealed blob: the payload, then its CRC-32 (reflected
+  // IEEE polynomial) little-endian. Spill files and checkpoint images
+  // written by earlier builds hold these bytes, so a change to the checksum
+  // kernel or polynomial must fail here as a format change.
+  util::ByteWriter body;
+  body.write_string("MRTS sealed blob");
+  body.write<std::uint64_t>(0x0123456789ABCDEFull);
+  body.write<std::uint16_t>(0xBEEF);
+  body.write<std::uint8_t>(0x7F);
+  const std::vector<std::byte> blob = seal_blob(std::move(body));
+  const std::uint8_t golden[] = {
+      0x10, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // string length
+      0x4D, 0x52, 0x54, 0x53, 0x20, 0x73, 0x65, 0x61,  // "MRTS sea"
+      0x6C, 0x65, 0x64, 0x20, 0x62, 0x6C, 0x6F, 0x62,  // "led blob"
+      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64
+      0xEF, 0xBE, 0x7F,                                // u16, u8
+      0xBC, 0x01, 0x1E, 0x25,                          // CRC 0x251E01BC
+  };
+  ASSERT_EQ(blob.size(), sizeof(golden));
+  EXPECT_EQ(std::memcmp(blob.data(), golden, sizeof(golden)), 0);
+  EXPECT_EQ(sealed_crc(blob), 0x251E01BCu);
+  EXPECT_TRUE(sealed_blob_valid(blob));
+  const auto payload = verified_payload(blob);
+  EXPECT_EQ(payload.size(), blob.size() - 4);
+  EXPECT_EQ(payload.data(), blob.data());
+}
+
 TEST(SealedBlob, WriteSealedIntoSinkSealsOnlyItsOwnSpan) {
   // In sink mode the writer appends into a buffer that already has
   // contents; the CRC must cover only the payload written by `fn`.

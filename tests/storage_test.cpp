@@ -18,12 +18,6 @@
 namespace mrts::storage {
 namespace {
 
-std::vector<std::byte> blob_of(std::initializer_list<int> xs) {
-  std::vector<std::byte> v;
-  for (int x : xs) v.push_back(static_cast<std::byte>(x));
-  return v;
-}
-
 std::vector<std::byte> random_blob(std::size_t n, std::uint64_t seed) {
   util::Rng rng(seed);
   std::vector<std::byte> v(n);

@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "tasking/task_pool.hpp"
@@ -84,6 +86,26 @@ TEST_P(PoolContract, DeepRecursiveSpawn) {
   root.run([&] { spawn(6); });
   root.wait();
   EXPECT_EQ(total.load(), 127);
+}
+
+TEST_P(PoolContract, TaskGroupMayBeDestroyedAsSoonAsWaitReturns) {
+  // Once wait() returns, the task that finished last must be done with the
+  // group's mutex and condition variable: deleting the group right away
+  // must not race with it (ASan/TSan catch a use after destroy).
+  auto pool = make(2);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 10000; ++i) {
+    auto group = std::make_unique<TaskGroup>(*pool);
+    group->run([&ran] { ran.fetch_add(1, std::memory_order_acq_rel); });
+    // Let a worker, not wait()'s help_one, run the task, so that its
+    // completion races with the wait below.
+    while (ran.load(std::memory_order_acquire) == i) {
+      std::this_thread::yield();
+    }
+    group->wait();
+    group.reset();
+  }
+  EXPECT_EQ(ran.load(), 10000);
 }
 
 TEST_P(PoolContract, ParallelForCoversRange) {
