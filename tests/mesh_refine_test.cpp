@@ -111,6 +111,12 @@ struct DomainCase {
   double h;
 };
 
+// Print the case by name. gtest's default byte dump would embed the two
+// pointers, whose values change from run to run under address-space
+// randomisation, and with them the CTest names discovered from
+// --gtest_list_tests.
+void PrintTo(const DomainCase& domain, std::ostream* os) { *os << domain.name; }
+
 Pslg square_pslg() { return make_unit_square(); }
 Pslg pipe_pslg() { return make_pipe_section(1.0, 0.45, 32); }
 Pslg key_pslg() { return make_key_shape(); }
