@@ -1,9 +1,9 @@
 #include "core/cluster.hpp"
 
-#include <atomic>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
-#include <thread>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "storage/file_store.hpp"
@@ -14,6 +14,14 @@
 
 namespace mrts::core {
 namespace {
+
+/// Longest a worker waits on its doorbell after a turn that found nothing
+/// to do: tick-driven work (retransmits, group-commit age-out, link latency)
+/// advances at least this often.
+constexpr auto kIdleWait = std::chrono::microseconds(50);
+/// Longest the detector waits between scans when no worker wakes it; bounds
+/// how late it notices max_run_time and the load-balance interval.
+constexpr auto kScanFallback = std::chrono::microseconds(200);
 
 std::unique_ptr<storage::StorageBackend> make_spill_backend(
     const ClusterOptions& options, NodeId node,
@@ -158,7 +166,14 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
   }
 }
 
-Cluster::~Cluster() = default;
+Cluster::~Cluster() {
+  {
+    std::lock_guard lock(park_mutex_);
+    shutting_down_ = true;
+  }
+  start_cv_.notify_all();
+  for (auto& t : workers_) t.join();
+}
 
 void Cluster::ensure_quiesced(const char* what) const {
   if (running_.load(std::memory_order_acquire)) {
@@ -221,39 +236,44 @@ RunReport Cluster::run() {
   const std::vector<BusyTimes> before = busy_snapshot(runtimes_);
   const net::FabricStats fabric_before = fabric_->stats();
 
-  running_.store(true, std::memory_order_release);
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> threads;
-  threads.reserve(runtimes_.size());
-  for (auto& rt : runtimes_) {
-    threads.emplace_back([&stop, runtime = rt.get()] {
-      while (!stop.load(std::memory_order_acquire)) {
-        if (!runtime->progress_once()) {
-          // Idle: yield the (possibly single) CPU to busy nodes.
-          std::this_thread::sleep_for(std::chrono::microseconds(50));
-        }
-      }
-    });
+  // Workers start on the first threaded run and persist until ~Cluster.
+  for (std::size_t i = workers_.size(); i < runtimes_.size(); ++i) {
+    workers_.emplace_back([this, i] { worker_loop(static_cast<NodeId>(i)); });
   }
-
+  running_.store(true, std::memory_order_release);
   util::WallTimer timer;
+  run_over_.store(false, std::memory_order_relaxed);
+  nodes_turned_.store(0, std::memory_order_relaxed);
+  {
+    std::lock_guard lock(park_mutex_);
+    ++run_generation_;
+    busy_workers_ = workers_.size();
+  }
+  start_cv_.notify_all();
+
   bool timed_out = false;
   std::uint64_t prev_activity = 0;
   bool prev_quiet = false;
   util::WallTimer balance_timer;
   for (;;) {
-    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    if (run_over_.load(std::memory_order_acquire)) break;  // a worker failed
     if (timer.seconds() > static_cast<double>(options_.max_run_time.count())) {
       timed_out = true;
       break;
     }
-    const bool quiet_now = all_idle() && fabric_->all_delivered();
-    const std::uint64_t activity_now = global_activity();
-    if (quiet_now && prev_quiet && activity_now == prev_activity) {
-      break;  // two consecutive quiet scans with no work created in between
+    // Scans count only once every node has taken a turn in this run; until
+    // then an idle flag may be left over from the previous run.
+    if (nodes_turned_.load(std::memory_order_acquire) == runtimes_.size()) {
+      const bool quiet_now = all_idle() && fabric_->all_delivered();
+      const std::uint64_t activity_now = global_activity();
+      if (quiet_now && prev_quiet && activity_now == prev_activity) {
+        break;  // two consecutive quiet scans with no work created in between
+      }
+      const bool confirm_at_once = quiet_now && !prev_quiet;
+      prev_quiet = quiet_now;
+      prev_activity = activity_now;
+      if (confirm_at_once) continue;
     }
-    prev_quiet = quiet_now;
-    prev_activity = activity_now;
 
     // Dynamic load balancing: sample queued work, advise the most loaded
     // node to shed queued objects to the least loaded one.
@@ -262,15 +282,70 @@ RunReport Cluster::run() {
       balance_timer.reset();
       maybe_advise_balance();
     }
+    detector_bell_.wait_for(kScanFallback);
   }
 
-  stop.store(true, std::memory_order_release);
-  for (auto& t : threads) t.join();
+  stop_workers();
   running_.store(false, std::memory_order_release);
   for (auto& rt : runtimes_) rt->flush_stores();
+  if (worker_error_) std::rethrow_exception(std::exchange(worker_error_, {}));
   return finish_report(timed_out, timer.seconds(), before,
                        busy_snapshot(runtimes_), fabric_before,
                        fabric_->stats());
+}
+
+void Cluster::worker_loop(NodeId id) {
+  Runtime& rt = *runtimes_[id];
+  util::Doorbell& bell = fabric_->endpoint(id).doorbell();
+  std::uint64_t generation = 0;
+  for (;;) {
+    {
+      std::unique_lock lock(park_mutex_);
+      start_cv_.wait(lock, [&] {
+        return shutting_down_ || run_generation_ != generation;
+      });
+      if (shutting_down_) return;
+      generation = run_generation_;
+    }
+    bool turned = false;
+    bool was_idle = false;
+    while (!run_over_.load(std::memory_order_acquire)) {
+      bool did = false;
+      try {
+        did = rt.progress_once();
+      } catch (...) {
+        std::lock_guard lock(park_mutex_);
+        if (!worker_error_) worker_error_ = std::current_exception();
+        run_over_.store(true, std::memory_order_release);
+        detector_bell_.ring();
+        break;
+      }
+      // The detector has something new to scan when this node just went
+      // idle, or when this was the last node's first turn of the run.
+      const bool idle = rt.is_idle();
+      bool wake_detector = idle && !was_idle;
+      was_idle = idle;
+      if (!turned) {
+        turned = true;
+        const std::size_t turned_nodes =
+            nodes_turned_.fetch_add(1, std::memory_order_acq_rel) + 1;
+        wake_detector |= turned_nodes == runtimes_.size();
+      }
+      if (wake_detector) detector_bell_.ring();
+      if (!did) bell.wait_for(kIdleWait);
+    }
+    std::lock_guard lock(park_mutex_);
+    if (--busy_workers_ == 0) parked_cv_.notify_one();
+  }
+}
+
+void Cluster::stop_workers() {
+  run_over_.store(true, std::memory_order_release);
+  for (std::size_t i = 0; i < runtimes_.size(); ++i) {
+    fabric_->endpoint(static_cast<NodeId>(i)).doorbell().ring();
+  }
+  std::unique_lock lock(park_mutex_);
+  parked_cv_.wait(lock, [this] { return busy_workers_ == 0; });
 }
 
 RunReport Cluster::run_deterministic() {

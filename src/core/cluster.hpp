@@ -3,9 +3,23 @@
 // Cluster: owns the simulated fabric and one Runtime per node, drives the
 // parallel phase, and detects global quiescence (the paper's termination
 // condition: "no message handlers are executing and no messages are being
-// delivered"). Each node's control loop runs on its own thread; the calling
-// thread acts as the termination detector using a double-scan over
-// (idle flags, activity counters, fabric delivery counters).
+// delivered").
+//
+// Threaded driver: each node's control loop runs on its own worker thread.
+// The workers are created on the first run() and parked between runs, so a
+// run wakes them instead of spawning them; ~Cluster joins them. A worker
+// whose progress_once() found nothing to do waits on its node's doorbell,
+// which the fabric rings when a message enters the node's inbox and the
+// runtime rings when one of its I/O completions is queued; the wait is
+// capped at 50 us so tick-driven work (retransmits, group-commit age-out,
+// link latency) keeps its cadence. The calling thread is the termination
+// detector. Workers wake it when their node goes idle, and it scans
+// (idle flags, fabric delivery balance, activity counters); a run ends on
+// two consecutive scans that see every node idle, nothing in flight and the
+// same activity. Scans count only once every node has taken one turn in
+// this run, so no idle flag left over from the previous run can end it.
+// The deterministic driver (ClusterOptions::deterministic) starts no
+// threads.
 //
 // Usage:
 //   Cluster cluster(options);
@@ -18,8 +32,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <exception>
 #include <memory>
+#include <mutex>
 #include <optional>
+#include <thread>
 #include <vector>
 
 #include "core/runtime.hpp"
@@ -30,6 +48,7 @@
 #include "storage/log_store.hpp"
 #include "storage/remote_store.hpp"
 #include "storage/replicated_store.hpp"
+#include "util/doorbell.hpp"
 
 namespace mrts::core {
 
@@ -156,8 +175,11 @@ class Cluster {
   }
 
   /// Runs the parallel phase until global quiescence. May be called
-  /// multiple times (multi-phase applications); counters accumulate, the
-  /// returned breakdown covers this call only.
+  /// multiple times (multi-phase applications) and from any thread, one
+  /// call at a time; counters accumulate, the returned breakdown covers
+  /// this call only. Returns once every node worker has parked again. An
+  /// exception thrown on a node's worker (e.g. by a handler) ends the run
+  /// and is rethrown here.
   RunReport run();
 
   /// Sum of a per-node counter over all nodes. Quiescent-only: calling this
@@ -180,6 +202,11 @@ class Cluster {
   [[nodiscard]] bool all_idle() const;
   void maybe_advise_balance();
   RunReport run_deterministic();
+  /// Body of node `id`'s worker thread: parks between runs, drives the
+  /// node's control loop during one.
+  void worker_loop(NodeId id);
+  /// Ends the current threaded run and waits until every worker parked.
+  void stop_workers();
 
   ClusterOptions options_;
   ObjectTypeRegistry registry_;
@@ -190,6 +217,26 @@ class Cluster {
   const MembershipView* membership_ = nullptr;
   /// True while run()/run_deterministic() is driving node progress.
   std::atomic<bool> running_{false};
+
+  // --- threaded driver: persistent node workers -----------------------------
+  std::mutex park_mutex_;  // guards the four fields below
+  std::uint64_t run_generation_ = 0;  // bumped to start a run
+  std::size_t busy_workers_ = 0;      // workers not yet parked after a run
+  bool shutting_down_ = false;        // set by ~Cluster
+  /// First exception a worker caught in the current run; run() rethrows it.
+  std::exception_ptr worker_error_;
+  std::condition_variable start_cv_;   // workers wait here for a run
+  std::condition_variable parked_cv_;  // run() waits here for the workers
+  /// Set to end the current run: by the detector, or by a failing worker.
+  std::atomic<bool> run_over_{false};
+  /// Nodes that have completed a progress_once() in the current run.
+  std::atomic<std::size_t> nodes_turned_{0};
+  /// Rung by a worker when its node goes idle, when the last node takes its
+  /// first turn, or when it fails; the detector waits on it between scans.
+  util::Doorbell detector_bell_;
+  /// One per node, started by the first threaded run(); declared last so
+  /// everything they use outlives them.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace mrts::core

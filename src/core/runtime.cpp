@@ -1024,11 +1024,9 @@ void Runtime::spill(MobilePtr ptr, Entry& e) {
         // On failure `payload` is the sealed blob handed back by the storage
         // layer — the object's only remaining copy; the control thread
         // reinstalls it in core.
-        std::lock_guard lock(completions_mutex_);
-        completions_.push_back(Completion{ptr.id, /*is_load=*/false,
-                                          std::move(s), std::move(payload),
-                                          spill_bytes, spill_gen});
-        completions_available_.fetch_add(1, std::memory_order_release);
+        push_completion(Completion{ptr.id, /*is_load=*/false, std::move(s),
+                                   std::move(payload), spill_bytes,
+                                   spill_gen});
       });
 }
 
@@ -1076,10 +1074,18 @@ void Runtime::start_load(Entry& e, MobilePtr ptr) {
       c.bytes = std::move(result).value();
       c.sealed = sealed_blob_valid(c.bytes);
     }
+    push_completion(std::move(c));
+  });
+}
+
+void Runtime::push_completion(Completion c) {
+  {
     std::lock_guard lock(completions_mutex_);
     completions_.push_back(std::move(c));
     completions_available_.fetch_add(1, std::memory_order_release);
-  });
+  }
+  // Wakes this node's control thread if it is waiting for work.
+  endpoint_.doorbell().ring();
 }
 
 bool Runtime::drain_completions() {

@@ -593,6 +593,8 @@ class Runtime {
   bool run_ready_object();
   void execute_message(MobilePtr ptr, Entry& e, QueuedMessage& msg);
   bool drain_completions();
+  /// Queues an I/O completion (any thread) and rings the node's doorbell.
+  void push_completion(Completion c);
   /// Installs the object from `bytes`, a sealed blob the caller has already
   /// verified against e.blob_crc; its payload is not checksummed again.
   void finish_load(Entry& e, MobilePtr ptr, std::vector<std::byte> bytes);

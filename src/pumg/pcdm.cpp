@@ -61,16 +61,26 @@ MeshRunStats run_pcdm(const MeshProblem& problem, const PcdmConfig& config,
     pool.submit([&, i] { turn(i); });
   };
 
+  // The last task out decrements under done_mutex, and the waiter below
+  // takes done_mutex once after it sees zero, so nothing this function owns
+  // is destroyed while that task still holds the lock.
+  auto retire = [&] {
+    std::lock_guard lock(done_mutex);
+    if (active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      done_cv.notify_all();
+    }
+  };
+
   std::atomic<bool> failed{false};
   turn = [&](std::uint32_t i) {
     if (turns.fetch_add(1, std::memory_order_relaxed) > config.max_turns) {
       // Throwing from a pool task would terminate; flag and retire instead.
       failed.store(true, std::memory_order_release);
-      std::lock_guard lock(boxes[i]->mutex);
-      boxes[i]->scheduled = false;
-      if (active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        done_cv.notify_all();
+      {
+        std::lock_guard lock(boxes[i]->mutex);
+        boxes[i]->scheduled = false;
       }
+      retire();
       return;
     }
     for (;;) {
@@ -109,10 +119,7 @@ MeshRunStats run_pcdm(const MeshProblem& problem, const PcdmConfig& config,
         break;
       }
     }
-    if (active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard lock(done_mutex);
-      done_cv.notify_all();
-    }
+    retire();
   };
 
   // Seed: deliver construction-time recovery splits, then kick every strip.
@@ -134,6 +141,7 @@ MeshRunStats run_pcdm(const MeshProblem& problem, const PcdmConfig& config,
       done_cv.wait_for(lock, std::chrono::microseconds(200));
     }
   }
+  { std::lock_guard lock(done_mutex); }
   if (failed.load(std::memory_order_acquire)) {
     throw std::runtime_error("run_pcdm: message exchange did not converge");
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "service/fair_share.hpp"
@@ -12,6 +13,21 @@ namespace {
 
 constexpr std::uint8_t kModeDirect = 0;
 constexpr std::uint8_t kModeChain = 1;
+
+/// The object behind `ptr`, which the caller locked in core and then ran
+/// the cluster to reload. Throws std::logic_error naming the job and the
+/// object when it is not in core: a run that ended before the reload landed
+/// must fail loudly, not dereference null or drop the object from a digest.
+core::MobileObject& locked_object(core::Runtime& rt, std::uint64_t job_id,
+                                  core::MobilePtr ptr) {
+  core::MobileObject* obj = rt.peek(ptr);
+  if (obj == nullptr) {
+    throw std::logic_error(
+        util::format("service: job {} object {} not in core after lock+run",
+                     job_id, core::to_string(ptr)));
+  }
+  return *obj;
+}
 
 }  // namespace
 
@@ -313,9 +329,8 @@ void MeshingService::finish_phases() {
     std::uint64_t digest = 0;
     for (std::size_t i = 0; i < rj.objects.size(); ++i) {
       auto& rt = cluster_.node(rj.homes[i]);
-      if (auto* obj = rt.peek(rj.objects[i])) {
-        digest ^= object_digest(static_cast<const ServiceJobObject&>(*obj));
-      }
+      digest ^= object_digest(static_cast<const ServiceJobObject&>(
+          locked_object(rt, rj.spec.id, rj.objects[i])));
       rt.unlock(rj.objects[i]);
       rt.destroy(rj.objects[i]);
       assert(committed_[rj.homes[i]] >= rj.slice_bytes);
@@ -358,10 +373,10 @@ bool MeshingService::preempt_job(std::uint64_t job_id) {
   qj.images.reserve(rj.objects.size());
   for (std::size_t i = 0; i < rj.objects.size(); ++i) {
     auto& rt = cluster_.node(rj.homes[i]);
-    auto* obj = rt.peek(rj.objects[i]);
-    assert(obj != nullptr && "preempt target must be in core after lock+run");
-    util::ByteWriter w(obj->footprint_bytes() + 64);
-    obj->serialize(w);
+    const core::MobileObject& obj =
+        locked_object(rt, rj.spec.id, rj.objects[i]);
+    util::ByteWriter w(obj.footprint_bytes() + 64);
+    obj.serialize(w);
     qj.images.push_back(w.take());
     rt.unlock(rj.objects[i]);
     rt.destroy(rj.objects[i]);

@@ -258,14 +258,21 @@ void Endpoint::send(NodeId dst, AmHandlerId handler,
 }
 
 void Endpoint::enqueue(Incoming msg) {
-  std::lock_guard lock(mutex_);
-  inbox_.push_back(std::move(msg));
+  {
+    std::lock_guard lock(mutex_);
+    inbox_.push_back(std::move(msg));
+  }
+  doorbell_.ring();
 }
 
 bool Endpoint::enqueue_front(Incoming msg) {
-  std::lock_guard lock(mutex_);
-  const bool displaced = !inbox_.empty();
-  inbox_.push_front(std::move(msg));
+  bool displaced = false;
+  {
+    std::lock_guard lock(mutex_);
+    displaced = !inbox_.empty();
+    inbox_.push_front(std::move(msg));
+  }
+  doorbell_.ring();
   return displaced;
 }
 

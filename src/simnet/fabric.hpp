@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "util/archive.hpp"
+#include "util/doorbell.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
 
@@ -179,6 +180,11 @@ class Endpoint {
 
   [[nodiscard]] NodeId id() const { return id_; }
 
+  /// Rung whenever a message enters the inbox, so a driver thread can wait
+  /// for traffic instead of polling on a timer. The owning node's runtime
+  /// rings it for its I/O completions too.
+  [[nodiscard]] util::Doorbell& doorbell() { return doorbell_; }
+
   /// Charges send/deliver busy time to `acc` (may be null to disable).
   void set_comm_accumulator(util::TimeAccumulator* acc) { comm_time_ = acc; }
 
@@ -208,6 +214,7 @@ class Endpoint {
   std::vector<AmHandler> handlers_;  // guarded by handlers_mutex_
   mutable std::mutex handlers_mutex_;
   util::TimeAccumulator* comm_time_ = nullptr;
+  util::Doorbell doorbell_;
 };
 
 /// Owns the endpoints of one simulated cluster.

@@ -28,7 +28,12 @@ WorkStealingPool::WorkStealingPool(std::size_t workers) {
 }
 
 WorkStealingPool::~WorkStealingPool() {
-  stop_.store(true, std::memory_order_release);
+  {
+    // Under the lock, so a worker between its predicate check and its wait
+    // cannot miss the notify.
+    std::lock_guard lock(idle_mutex_);
+    stop_.store(true, std::memory_order_release);
+  }
   idle_cv_.notify_all();
   for (auto& t : workers_) t.join();
 }
@@ -46,6 +51,12 @@ void WorkStealingPool::submit(TaskFn fn) {
     std::lock_guard lock(slots_[target]->mutex);
     slots_[target]->deque.push_back(std::move(fn));
   }
+  {
+    // Published under the idle lock, after the push: a worker that found
+    // nothing either sees the count before it waits or gets the notify.
+    std::lock_guard lock(idle_mutex_);
+    queued_.fetch_add(1, std::memory_order_release);
+  }
   idle_cv_.notify_one();
 }
 
@@ -56,6 +67,7 @@ std::optional<TaskFn> WorkStealingPool::acquire(std::size_t self) {
     if (!slots_[self]->deque.empty()) {
       TaskFn fn = std::move(slots_[self]->deque.back());
       slots_[self]->deque.pop_back();
+      queued_.fetch_sub(1, std::memory_order_relaxed);
       return fn;
     }
   }
@@ -72,6 +84,7 @@ std::optional<TaskFn> WorkStealingPool::acquire(std::size_t self) {
     if (!slots_[v]->deque.empty()) {
       TaskFn fn = std::move(slots_[v]->deque.front());
       slots_[v]->deque.pop_front();
+      queued_.fetch_sub(1, std::memory_order_relaxed);
       steals_.fetch_add(1, std::memory_order_relaxed);
       return fn;
     }
@@ -106,8 +119,9 @@ void WorkStealingPool::worker_loop(std::size_t self) {
       continue;
     }
     std::unique_lock lock(idle_mutex_);
-    idle_cv_.wait_for(lock, std::chrono::milliseconds(1), [this] {
-      return stop_.load(std::memory_order_acquire);
+    idle_cv_.wait(lock, [this] {
+      return stop_.load(std::memory_order_acquire) ||
+             queued_.load(std::memory_order_acquire) > 0;
     });
   }
   t_worker_pool = nullptr;

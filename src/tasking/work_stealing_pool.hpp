@@ -5,6 +5,7 @@
 // victim (breadth-first, load-spreading). External submissions are sprayed
 // round-robin across worker deques.
 
+#include <cstdint>
 #include <deque>
 #include <thread>
 #include <vector>
@@ -51,6 +52,10 @@ class WorkStealingPool final : public TaskPool {
   std::condition_variable idle_cv_;   // wakes sleeping workers
   std::condition_variable drain_cv_;  // wakes wait_idle
   std::atomic<std::size_t> unfinished_{0};
+  /// Tasks sitting in some deque. Raised under idle_mutex_ after the push
+  /// and lowered by whoever pops, so a pop racing ahead of its submit can
+  /// take it below zero for a moment; idle workers sleep while it is <= 0.
+  std::atomic<std::int64_t> queued_{0};
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> executed_{0};
   std::atomic<std::uint64_t> steals_{0};

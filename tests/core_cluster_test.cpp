@@ -1,6 +1,7 @@
 // Multi-node tests of the MRTS cluster: remote messaging, the lazy-update
 // distributed directory, migration, multicast collection, termination
-// detection, and out-of-core behaviour under remote traffic.
+// detection, the threaded driver's worker lifecycle, and out-of-core
+// behaviour under remote traffic.
 
 #include <gtest/gtest.h>
 
@@ -221,6 +222,81 @@ TEST_F(ClusterTest, SumCountersThrowsWhileRunInFlight) {
   EXPECT_GE(executed, 1u);
 }
 
+// --- threaded driver lifecycle ----------------------------------------------
+
+TEST_F(ClusterTest, NodeKeepsItsWorkerThreadAcrossRuns) {
+  // A thread_local set by a handler in one run is visible to the next run's
+  // handler on the same node only if the same thread drives the node. (A
+  // std::thread::id comparison would not do: a new thread may reuse an
+  // exited thread's descriptor and report the same id.)
+  static thread_local std::uint64_t t_mark = 0;
+  std::atomic<std::uint64_t> seen{~std::uint64_t{0}};
+  const HandlerId h_mark = cluster_->registry().register_handler(
+      type_, [&seen](Runtime&, MobileObject&, MobilePtr, NodeId,
+                     util::ByteReader& in) {
+        seen.store(t_mark);
+        t_mark = in.read<std::uint64_t>();
+      });
+  auto [ptr, box] = cluster_->node(2).create<Box>(type_);
+  cluster_->node(0).send(ptr, h_mark, arg_u64(7));
+  ASSERT_FALSE(cluster_->run().timed_out);
+  EXPECT_EQ(seen.load(), 0u);
+  cluster_->node(0).send(ptr, h_mark, arg_u64(8));
+  ASSERT_FALSE(cluster_->run().timed_out);
+  EXPECT_EQ(seen.load(), 7u);
+}
+
+TEST_F(ClusterTest, ThousandBackToBackPingPongRunsEachCountExactly) {
+  auto [a, boxa] = cluster_->node(0).create<Box>(type_);
+  auto [b, boxb] = cluster_->node(3).create<Box>(type_);
+  constexpr std::uint64_t kHops = 6;  // handler executions per run
+  for (std::uint64_t run = 1; run <= 1000; ++run) {
+    util::ByteWriter w;
+    w.write<std::uint64_t>(kHops - 1);
+    w.write(a.id);
+    cluster_->node(1).send(b, h_pingpong_, w.take());
+    const RunReport report = cluster_->run();
+    ASSERT_FALSE(report.timed_out) << "run " << run;
+    ASSERT_EQ(box_on(0, a).value + box_on(3, b).value, run * kHops)
+        << "run " << run;
+  }
+}
+
+TEST_F(ClusterTest, HandlerExceptionEndsTheRunAndIsRethrown) {
+  const HandlerId h_throw = cluster_->registry().register_handler(
+      type_, [](Runtime&, MobileObject&, MobilePtr, NodeId, util::ByteReader&) {
+        throw std::runtime_error("handler failed");
+      });
+  auto [ptr, box] = cluster_->node(3).create<Box>(type_);
+  cluster_->node(0).send(ptr, h_throw, arg_u64(0));
+  EXPECT_THROW((void)cluster_->run(), std::runtime_error);
+  // Every worker parked again: the counters are readable and the cluster
+  // tears down cleanly.
+  EXPECT_NO_THROW((void)cluster_->sum_counters(
+      [](const NodeCounters& c) { return c.messages_executed.load(); }));
+}
+
+TEST(ClusterLifecycle, DestroyAfterARunOrWithoutOneExitsCleanly) {
+  ClusterOptions options;
+  options.nodes = 4;
+  options.spill = SpillMedium::kMemory;
+  options.max_run_time = std::chrono::seconds(120);
+  for (int i = 0; i < 50; ++i) {
+    { Cluster never_ran(options); }
+    Cluster ran(options);
+    const TypeId type = ran.registry().register_type<Box>("box");
+    const HandlerId add = ran.registry().register_handler(
+        type, [](Runtime&, MobileObject& obj, MobilePtr, NodeId,
+                 util::ByteReader& in) {
+          static_cast<Box&>(obj).value += in.read<std::uint64_t>();
+        });
+    auto [ptr, box] = ran.node(1).create<Box>(type);
+    ran.node(0).send(ptr, add, arg_u64(1));
+    ASSERT_FALSE(ran.run().timed_out);
+    EXPECT_EQ(static_cast<Box*>(ran.node(1).peek(ptr))->value, 1u);
+  }
+}
+
 class OocClusterTest : public ClusterTest {
  protected:
   OocClusterTest() : ClusterTest(2, /*budget_mb=*/1) {}
@@ -261,6 +337,38 @@ TEST_F(OocClusterTest, RemoteTrafficDrivesSwapping) {
     ASSERT_TRUE(cluster_->node(0).is_in_core(ptrs[i]));
     EXPECT_EQ(box_on(0, ptrs[i]).value, 2u);
     EXPECT_EQ(box_on(0, ptrs[i]).data[9999], i);
+  }
+}
+
+TEST_F(OocClusterTest, LeftoverIdleFlagsCannotEndTheNextRun) {
+  // After a run every node's idle flag reads true. Shrinking a budget
+  // between runs issues spill stores from the calling thread without
+  // touching that flag, so a detector that scanned before every node took
+  // a turn could end the next run with the store completions undrained.
+  Runtime& rt = cluster_->node(0);
+  std::vector<MobilePtr> ptrs;
+  for (int i = 0; i < 8; ++i) {
+    auto [p, box] = rt.create<Box>(type_);
+    box->data.assign(10000, static_cast<std::uint64_t>(i));
+    rt.refresh_footprint(p);
+    ptrs.push_back(p);
+  }
+  const std::size_t budget = rt.memory_budget_bytes();
+  for (int round = 0; round < 10; ++round) {
+    ASSERT_FALSE(cluster_->run().timed_out);
+    rt.set_memory_budget(budget / 8);
+    ASSERT_GT(rt.write_behind_inflight_bytes(), 0u) << "round " << round;
+    ASSERT_FALSE(cluster_->run().timed_out);
+    EXPECT_EQ(rt.write_behind_inflight_bytes(), 0u) << "round " << round;
+    // Reload everything for the next round.
+    rt.set_memory_budget(budget);
+    for (MobilePtr p : ptrs) rt.lock_in_core(p);
+    ASSERT_FALSE(cluster_->run().timed_out);
+    for (MobilePtr p : ptrs) {
+      ASSERT_TRUE(rt.is_in_core(p));
+      rt.unlock(p);
+      rt.refresh_footprint(p);  // dirty, so the next shrink really stores
+    }
   }
 }
 

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "service/meshing_service.hpp"
 
 namespace mrts::service {
@@ -113,6 +116,31 @@ TEST(Preempt, SurvivesBackToBackPreemptions) {
   EXPECT_EQ(svc.preempted_count(), 2u);
   EXPECT_EQ(svc.completed_count(), 1u);
   EXPECT_EQ(svc.job_digest(j.id), twin);
+}
+
+TEST(Preempt, ObjectMissingAfterLockAndRunThrowsNamingJobAndObject) {
+  // Every run times out before its first sweep, so a spilled object that
+  // preempt_job locks is never reloaded. The service must report that as a
+  // logic error, not dereference a null object.
+  core::ClusterOptions o = cluster_options(2, 256u << 10);
+  o.deterministic = true;
+  o.max_run_time = std::chrono::seconds(0);
+  core::Cluster cluster(o);
+  MeshingService svc(cluster, manual_options());
+  const jobsim::ServiceJob j = spec(jobsim::JobClass::kUpdr, 4);
+  svc.submit(j);
+  svc.tick();
+  ASSERT_EQ(svc.running_jobs(), 1u);
+  for (std::size_t n = 0; n < cluster.size(); ++n) {
+    cluster.node(static_cast<net::NodeId>(n)).set_memory_budget(0);
+  }
+  try {
+    svc.preempt_job(j.id);
+    FAIL() << "preempt_job returned with its objects out of core";
+  } catch (const std::logic_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("job 42 object "), std::string::npos) << what;
+  }
 }
 
 TEST(Preempt, PreemptingAnUnknownJobIsANoOp) {
