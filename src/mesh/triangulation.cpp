@@ -942,12 +942,22 @@ bool Triangulation::is_delaunay() const {
 }
 
 double Triangulation::min_inside_angle_deg() const {
-  double best = 180.0;
+  return inside_quality(0.0).min_angle_deg;
+}
+
+InsideQuality Triangulation::inside_quality(double goal_deg) const {
+  InsideQuality q;
+  const double below = goal_deg - 1e-9;
   for_each_inside([&](TriId, const TriRec& rec) {
-    best = std::min(best, min_angle_deg(verts_[rec.v[0]], verts_[rec.v[1]],
-                                        verts_[rec.v[2]]));
+    const Point2& a = verts_[rec.v[0]];
+    const Point2& b = verts_[rec.v[1]];
+    const Point2& c = verts_[rec.v[2]];
+    q.area += 0.5 * orient2d(a, b, c);
+    const double m = min_angle_deg(a, b, c);
+    q.min_angle_deg = std::min(q.min_angle_deg, m);
+    if (m < below) ++q.below_goal;
   });
-  return best;
+  return q;
 }
 
 void Triangulation::serialize(util::ByteWriter& out) const {

@@ -87,6 +87,13 @@ struct SplitEvent {
   Point2 end_b;
 };
 
+/// Quality of the inside triangles, gathered in one pass in TriId order.
+struct InsideQuality {
+  double area = 0.0;             // sum of 0.5 * orient2d(a, b, c)
+  double min_angle_deg = 180.0;  // 180 when there are no inside triangles
+  std::size_t below_goal = 0;    // triangles whose min angle < goal - 1e-9
+};
+
 class Triangulation {
  public:
   /// Builds the super-triangle around `bounds` (expanded by a safety
@@ -191,6 +198,10 @@ class Triangulation {
 
   /// Smallest interior angle over inside triangles, in degrees.
   [[nodiscard]] double min_inside_angle_deg() const;
+
+  /// Area, smallest angle and below-goal count of the inside triangles:
+  /// one min_angle_deg() and one orient2d() per triangle.
+  [[nodiscard]] InsideQuality inside_quality(double goal_deg) const;
 
   // --- serialization -------------------------------------------------------------
 

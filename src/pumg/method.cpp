@@ -21,39 +21,32 @@ MeshRunStats run_sequential(const MeshProblem& problem,
   mesh::Triangulation tri = mesh::refine_pslg(problem.domain, problem.refine);
   MeshRunStats stats;
   stats.quality_goal_deg = problem.refine.min_angle_deg;
-  stats.cells = 1;
-  stats.elements = tri.inside_triangles();
-  stats.vertices = tri.vertex_count();
-  stats.min_angle_deg = tri.min_inside_angle_deg();
-  tri.for_each_inside([&](mesh::TriId, const mesh::TriRec& rec) {
-    stats.total_area += 0.5 * mesh::orient2d(tri.point(rec.v[0]),
-                                             tri.point(rec.v[1]),
-                                             tri.point(rec.v[2]));
-  });
+  accumulate_stats(stats, cell_stats(tri, stats.quality_goal_deg));
   stats.wall_seconds = timer.seconds();
   if (out != nullptr) *out = std::move(tri);
   return stats;
 }
 
-void accumulate_stats(MeshRunStats& stats, const Subdomain& sub) {
-  stats.elements += sub.inside_elements();
-  stats.vertices += sub.tri().vertex_count();
-  stats.total_area += sub.inside_area();
-  if (sub.inside_elements() > 0) {
+CellStats cell_stats(const mesh::Triangulation& tri, double goal_deg) {
+  return {.elements = tri.inside_triangles(),
+          .vertices = tri.vertex_count(),
+          .quality = tri.inside_quality(goal_deg)};
+}
+
+void accumulate_stats(MeshRunStats& stats, const CellStats& cell) {
+  stats.elements += cell.elements;
+  stats.vertices += cell.vertices;
+  stats.total_area += cell.quality.area;
+  if (cell.elements > 0) {
     stats.min_angle_deg =
-        std::min(stats.min_angle_deg, sub.min_inside_angle_deg());
+        std::min(stats.min_angle_deg, cell.quality.min_angle_deg);
   }
-  if (stats.quality_goal_deg > 0.0) {
-    const auto& t = sub.tri();
-    t.for_each_inside([&](mesh::TriId, const mesh::TriRec& rec) {
-      if (mesh::min_angle_deg(t.point(rec.v[0]), t.point(rec.v[1]),
-                              t.point(rec.v[2])) <
-          stats.quality_goal_deg - 1e-9) {
-        ++stats.below_goal;
-      }
-    });
-  }
+  stats.below_goal += cell.quality.below_goal;
   ++stats.cells;
+}
+
+void accumulate_stats(MeshRunStats& stats, const Subdomain& sub) {
+  accumulate_stats(stats, cell_stats(sub.tri(), stats.quality_goal_deg));
 }
 
 std::string check_conformity(const Decomposition& decomp,

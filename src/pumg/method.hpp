@@ -44,7 +44,22 @@ struct MeshRunStats {
 MeshRunStats run_sequential(const MeshProblem& problem,
                             mesh::Triangulation* out = nullptr);
 
-/// Accumulates element/angle/area stats over finished subdomains.
+/// One cell's share of MeshRunStats, measured in a single pass over its
+/// inside triangles (mesh::Triangulation::inside_quality).
+struct CellStats {
+  std::size_t elements = 0;
+  std::size_t vertices = 0;
+  mesh::InsideQuality quality;
+};
+
+/// Measures one cell's triangulation; below_goal counts against goal_deg.
+CellStats cell_stats(const mesh::Triangulation& tri, double goal_deg);
+
+/// Adds one cell's share. Callers add cells in cell-index order, so
+/// total_area is summed in the same order by every driver.
+void accumulate_stats(MeshRunStats& stats, const CellStats& cell);
+
+/// Measures a finished subdomain against stats.quality_goal_deg and adds it.
 void accumulate_stats(MeshRunStats& stats, const Subdomain& sub);
 
 /// Verifies that every pair of adjacent cells agrees exactly on the shared

@@ -1,6 +1,8 @@
 #include "pumg/ooc.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "obs/trace.hpp"
@@ -71,6 +73,16 @@ class OocApp {
   /// construction-time boundary splits (usually empty with CDT recovery).
   std::vector<std::vector<BoundarySplit>> create_cells() {
     cell_type_ = cluster_.registry().register_type<CellObject>("pumg-cell");
+    // Read-only: collection leaves clean cells eligible for spill elision.
+    h_collect_ = cluster_.registry().register_handler(
+        cell_type_,
+        [this](Runtime&, MobileObject& obj, MobilePtr, NodeId,
+               util::ByteReader&) {
+          const auto& cell = static_cast<const CellObject&>(obj);
+          collected_[cell.index] =
+              cell_stats(cell.sub.tri(), problem_.refine.min_angle_deg);
+        },
+        /*read_only=*/true);
     const auto nodes = static_cast<NodeId>(cluster_.size());
     std::vector<std::vector<BoundarySplit>> initial(decomp_.size());
     for (std::uint32_t i = 0; i < decomp_.size(); ++i) {
@@ -90,14 +102,20 @@ class OocApp {
     return initial;
   }
 
-  /// Locks every cell in-core on its current owner and accumulates mesh
-  /// statistics; used after the parallel phase completes. Optionally copies
-  /// the subdomains out for conformity checks.
+  /// Locks every cell in-core on its current owner and posts it one
+  /// read-only collect message there; one run() drives the reloads and
+  /// measures every subdomain in a single pass on its owner's node thread.
+  /// The caller then sums the per-cell results in cell order, optionally
+  /// copies the subdomains out (for conformity checks), and unlocks.
   MeshRunStats collect_stats(std::vector<Subdomain>* out_subs) {
+    collected_.assign(cells_.size(), std::nullopt);
     for (MobilePtr p : cells_) {
       owner_of(p).lock_in_core(p);
     }
-    (void)cluster_.run();  // drive the loads
+    for (MobilePtr p : cells_) {
+      owner_of(p).send(p, h_collect_, std::vector<std::byte>{});
+    }
+    (void)cluster_.run();
     MeshRunStats stats;
     stats.quality_goal_deg = problem_.refine.min_angle_deg;
     if (out_subs != nullptr) out_subs->resize(cells_.size());
@@ -105,12 +123,15 @@ class OocApp {
       const MobilePtr p = cells_[i];
       Runtime& rt = owner_of(p);
       auto* obj = rt.peek(p);
-      if (obj == nullptr) {
-        throw std::logic_error("ooc pumg: cell not in-core after lock");
+      if (obj == nullptr || !collected_[i]) {
+        throw std::logic_error(util::format(
+            "ooc pumg: cell {} on node {} {} after the collect run", i,
+            rt.node(), obj == nullptr ? "not in core" : "not measured"));
       }
-      auto& cell = static_cast<CellObject&>(*obj);
-      accumulate_stats(stats, cell.sub);
-      if (out_subs != nullptr) (*out_subs)[cell.index] = cell.sub;
+      accumulate_stats(stats, *collected_[i]);
+      if (out_subs != nullptr) {
+        (*out_subs)[i] = static_cast<CellObject&>(*obj).sub;
+      }
       rt.unlock(p);
     }
     return stats;
@@ -151,7 +172,9 @@ class OocApp {
             span_after[i].disk_seconds - span_before_[i].disk_seconds};
       }
     }
-    result.mesh = collect_stats(out_subs);
+    // A timed-out run leaves work queued; collecting would run it for
+    // another max_run_time. Its statistics stay zero, out_subs unwritten.
+    if (!report.timed_out) result.mesh = collect_stats(out_subs);
     if (out_decomp != nullptr) *out_decomp = decomp_;
     result.mesh.rounds = rounds;
     result.mesh.boundary_splits_exchanged = splits;
@@ -210,6 +233,10 @@ class OocApp {
   Decomposition decomp_;
   std::vector<MobilePtr> cells_;
   TypeId cell_type_ = 0;
+  HandlerId h_collect_ = 0;
+  /// One slot per cell, sized before the collect run; a slot is written
+  /// only by its cell's collect handler and read after run() returns.
+  std::vector<std::optional<CellStats>> collected_;
   std::vector<core::BusyTimes> span_before_;
 };
 
@@ -362,7 +389,9 @@ class OupdrApp : public OocApp {
     // Read-mostly phase (paper: visualization / solver sweeps over the
     // finished mesh): each round queries every cell once and runs to
     // quiescence, so cells cycle disk→core→disk without being modified.
-    for (std::size_t round = 0; round < config_.query_rounds; ++round) {
+    // Skipped after a timeout, like collection (see finish()).
+    for (std::size_t round = 0;
+         !report.timed_out && round < config_.query_rounds; ++round) {
       for (std::uint32_t i = 0; i < cells_.size(); ++i) {
         util::ByteWriter w;
         w.write<std::uint64_t>(round);
@@ -551,8 +580,14 @@ class OnupdrApp : public OocApp {
       }
       std::size_t busy_count = 0;
       for (auto b : rqf.busy) busy_count += b;
-      MRTS_LOG_ERROR("onupdr end: dirty={} busy={} reservations={}",
-                     result.dirty_left, busy_count, rqf.reservations.size());
+      const std::size_t reserved = rqf.reservations.size();
+      // Leftover work (a timeout or a scheduler bug) is an error; a clean
+      // end is routine.
+      util::Log::log(result.dirty_left + busy_count + reserved > 0
+                         ? util::LogLevel::kError
+                         : util::LogLevel::kDebug,
+                     "onupdr end: dirty={} busy={} reservations={}",
+                     result.dirty_left, busy_count, reserved);
     }
     return result;
   }

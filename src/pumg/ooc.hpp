@@ -22,6 +22,15 @@
 //
 // All cell objects serialize their full subdomain triangulation, so the
 // out-of-core layer can swap any of them to disk between messages.
+//
+// After the parallel phase, mesh statistics are collected where the cells
+// live: each cell is locked in core on its owner and sent one read-only
+// collect message, which measures its subdomain in a single pass on that
+// node's thread (area, smallest angle, below-goal count); one run drives
+// the reloads and the measuring. The caller only sums the per-cell results
+// in cell order. A run that timed out skips
+// collection, which would otherwise resume its leftover work: elements,
+// cells and area stay zero and `out_subs` is not written.
 
 #include "core/cluster.hpp"
 #include "pumg/method.hpp"
@@ -93,7 +102,9 @@ struct OnupdrOocConfig {
 };
 
 /// Each runner optionally copies out the final subdomains and the
-/// decomposition (for conformity checking and visualization).
+/// decomposition (for conformity checking and visualization). When
+/// `report.timed_out` is set, no statistics are collected and `out_subs`
+/// is not written.
 OocRunResult run_opcdm_ooc(const MeshProblem& problem,
                            const OpcdmOocConfig& config,
                            std::vector<Subdomain>* out_subs = nullptr,

@@ -255,12 +255,7 @@ bool Subdomain::apply_mirror_split(const BoundarySplit& split) {
 }
 
 double Subdomain::inside_area() const {
-  double area = 0.0;
-  tri_.for_each_inside([&](mesh::TriId, const mesh::TriRec& rec) {
-    area += 0.5 * mesh::orient2d(tri_.point(rec.v[0]), tri_.point(rec.v[1]),
-                                 tri_.point(rec.v[2]));
-  });
-  return area;
+  return tri_.inside_quality(0.0).area;
 }
 
 std::vector<Point2> Subdomain::border_points(Side side) const {

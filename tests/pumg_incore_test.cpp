@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "pumg/method.hpp"
 #include "pumg/nupdr.hpp"
 #include "pumg/pcdm.hpp"
@@ -98,11 +100,121 @@ TEST(Subdomain, TwoCellsMirrorSplitsUntilConforming) {
   EXPECT_NEAR(subs[0].inside_area() + subs[1].inside_area(), 1.0, 1e-9);
 }
 
+// The statistics formulas as they were before the one-pass kernel, kept
+// verbatim as the reference: per subdomain, one area pass, one smallest-
+// angle pass and one below-goal pass.
+double three_pass_area(const mesh::Triangulation& t) {
+  double area = 0.0;
+  t.for_each_inside([&](mesh::TriId, const mesh::TriRec& rec) {
+    area += 0.5 * mesh::orient2d(t.point(rec.v[0]), t.point(rec.v[1]),
+                                 t.point(rec.v[2]));
+  });
+  return area;
+}
+
+double three_pass_min_angle(const mesh::Triangulation& t) {
+  double best = 180.0;
+  t.for_each_inside([&](mesh::TriId, const mesh::TriRec& rec) {
+    best = std::min(best, mesh::min_angle_deg(t.point(rec.v[0]),
+                                              t.point(rec.v[1]),
+                                              t.point(rec.v[2])));
+  });
+  return best;
+}
+
+std::size_t three_pass_below_goal(const mesh::Triangulation& t,
+                                  double goal_deg) {
+  std::size_t below = 0;
+  t.for_each_inside([&](mesh::TriId, const mesh::TriRec& rec) {
+    if (mesh::min_angle_deg(t.point(rec.v[0]), t.point(rec.v[1]),
+                            t.point(rec.v[2])) < goal_deg - 1e-9) {
+      ++below;
+    }
+  });
+  return below;
+}
+
+void three_pass_accumulate(MeshRunStats& stats, const Subdomain& sub) {
+  stats.elements += sub.inside_elements();
+  stats.vertices += sub.tri().vertex_count();
+  stats.total_area += three_pass_area(sub.tri());
+  if (sub.inside_elements() > 0) {
+    stats.min_angle_deg =
+        std::min(stats.min_angle_deg, three_pass_min_angle(sub.tri()));
+  }
+  if (stats.quality_goal_deg > 0.0) {
+    stats.below_goal += three_pass_below_goal(sub.tri(), stats.quality_goal_deg);
+  }
+  ++stats.cells;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
 TEST(Sequential, BaselineProducesQualityMesh) {
   const auto stats = run_sequential(square_problem(0.05));
   EXPECT_GT(stats.elements, 300u);
   EXPECT_GE(stats.min_angle_deg, 20.0);
   EXPECT_NEAR(stats.total_area, 1.0, 1e-9);
+}
+
+TEST(Sequential, BaselineCountsBelowGoal) {
+  const auto problem = pipe_problem(0.08);
+  mesh::Triangulation tri{Rect{0, 0, 1, 1}};
+  const auto stats = run_sequential(problem, &tri);
+  EXPECT_EQ(stats.quality_goal_deg, 20.0);
+  EXPECT_EQ(stats.below_goal, three_pass_below_goal(tri, 20.0));
+  EXPECT_EQ(stats.elements, tri.inside_triangles());
+  EXPECT_TRUE(same_bits(stats.total_area, three_pass_area(tri)));
+  EXPECT_TRUE(same_bits(stats.min_angle_deg, three_pass_min_angle(tri)));
+}
+
+TEST(MethodStats, OnePassMatchesThreePassFormulas) {
+  const auto problem = pipe_problem(0.08);
+  auto pool = tasking::make_pool(tasking::PoolBackend::kWorkStealing, 2);
+  struct Run {
+    const char* method;
+    MeshRunStats returned;
+    std::vector<Subdomain> subs;
+  };
+  std::vector<Run> runs(3);
+  runs[0].method = "pcdm";
+  runs[0].returned =
+      run_pcdm(problem, PcdmConfig{.strips = 6}, *pool, &runs[0].subs);
+  runs[1].method = "updr";
+  runs[1].returned =
+      run_updr(problem, UpdrConfig{.nx = 3, .ny = 3}, *pool, &runs[1].subs);
+  runs[2].method = "nupdr";
+  runs[2].returned = run_nupdr(
+      problem, NupdrConfig{.leaf_element_budget = 300}, *pool, &runs[2].subs);
+  for (const Run& run : runs) {
+    for (const double goal : {20.0, 33.0}) {
+      SCOPED_TRACE(::testing::Message() << run.method << " at " << goal);
+      MeshRunStats one, three;
+      one.quality_goal_deg = three.quality_goal_deg = goal;
+      for (const Subdomain& sub : run.subs) {
+        accumulate_stats(one, sub);
+        three_pass_accumulate(three, sub);
+      }
+      EXPECT_EQ(one.elements, three.elements);
+      EXPECT_EQ(one.vertices, three.vertices);
+      EXPECT_EQ(one.cells, three.cells);
+      EXPECT_EQ(one.below_goal, three.below_goal);
+      EXPECT_TRUE(same_bits(one.total_area, three.total_area));
+      EXPECT_TRUE(same_bits(one.min_angle_deg, three.min_angle_deg));
+      if (goal == problem.refine.min_angle_deg) {
+        // The driver's own statistics come from the same kernel.
+        EXPECT_EQ(run.returned.elements, three.elements);
+        EXPECT_EQ(run.returned.below_goal, three.below_goal);
+        EXPECT_TRUE(same_bits(run.returned.total_area, three.total_area));
+        EXPECT_TRUE(
+            same_bits(run.returned.min_angle_deg, three.min_angle_deg));
+      } else {
+        EXPECT_GT(three.below_goal, 0u);  // the count path is exercised
+      }
+    }
+  }
 }
 
 class MethodTest : public ::testing::TestWithParam<tasking::PoolBackend> {

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <ostream>
+
 #include "pumg/nupdr.hpp"
 #include "pumg/ooc.hpp"
 #include "pumg/pcdm.hpp"
@@ -170,6 +173,103 @@ TEST(OocNupdr, SwappingRunWithSmallLeaves) {
   EXPECT_EQ(ooc.pending_left, 0u);
   EXPECT_TRUE(check_conformity(decomp, subs).empty())
       << check_conformity(decomp, subs);
+}
+
+// Statistics collection: the per-cell collect handlers on the owners must
+// produce exactly what the one-pass kernel gives over the returned
+// subdomains, whichever driver ran them and whether cells had to reload.
+enum class OocMethod { kOpcdm, kOupdr, kOnupdr };
+
+struct CollectCase {
+  const char* name;
+  OocMethod method;
+  std::size_t budget_kb;
+  bool deterministic;
+};
+
+void PrintTo(const CollectCase& c, std::ostream* os) { *os << c.name; }
+
+OocRunResult run_case(const CollectCase& c, core::ClusterOptions cluster,
+                      std::vector<Subdomain>* subs, Decomposition* decomp) {
+  if (c.method == OocMethod::kOpcdm) {
+    return run_opcdm_ooc(pipe_problem(0.05), {.cluster = cluster, .strips = 6},
+                         subs, decomp);
+  }
+  if (c.method == OocMethod::kOupdr) {
+    return run_oupdr_ooc(pipe_problem(0.05),
+                         {.cluster = cluster, .nx = 3, .ny = 3}, subs, decomp);
+  }
+  return run_onupdr_ooc(graded_pipe_problem(),
+                        {.cluster = cluster, .leaf_element_budget = 300},
+                        subs, decomp);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+class OocCollect : public ::testing::TestWithParam<CollectCase> {};
+
+TEST_P(OocCollect, ResultMatchesReturnedSubdomains) {
+  const CollectCase& c = GetParam();
+  core::ClusterOptions cluster = cluster_options(2, c.budget_kb);
+  cluster.deterministic = c.deterministic;
+  std::vector<Subdomain> subs;
+  Decomposition decomp;
+  const OocRunResult r = run_case(c, cluster, &subs, &decomp);
+  ASSERT_FALSE(r.report.timed_out);
+  if (c.budget_kb < (1 << 20)) {
+    EXPECT_GT(r.objects_spilled, 0u);  // collection reloaded spilled cells
+  }
+
+  ASSERT_EQ(subs.size(), decomp.size());
+  MeshRunStats kernel;
+  kernel.quality_goal_deg = 20.0;
+  for (const Subdomain& sub : subs) accumulate_stats(kernel, sub);
+  EXPECT_EQ(r.mesh.quality_goal_deg, 20.0);
+  EXPECT_EQ(r.mesh.cells, decomp.size());
+  EXPECT_EQ(r.mesh.cells, kernel.cells);
+  EXPECT_EQ(r.mesh.elements, kernel.elements);
+  EXPECT_EQ(r.mesh.vertices, kernel.vertices);
+  EXPECT_EQ(r.mesh.below_goal, kernel.below_goal);
+  EXPECT_TRUE(same_bits(r.mesh.total_area, kernel.total_area))
+      << r.mesh.total_area << " vs " << kernel.total_area;
+  EXPECT_TRUE(same_bits(r.mesh.min_angle_deg, kernel.min_angle_deg))
+      << r.mesh.min_angle_deg << " vs " << kernel.min_angle_deg;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    , OocCollect,
+    ::testing::Values(
+        CollectCase{"opcdm_incore_threaded", OocMethod::kOpcdm, 1 << 20, false},
+        CollectCase{"opcdm_incore_det", OocMethod::kOpcdm, 1 << 20, true},
+        CollectCase{"opcdm_spill_threaded", OocMethod::kOpcdm, 256, false},
+        CollectCase{"opcdm_spill_det", OocMethod::kOpcdm, 256, true},
+        CollectCase{"oupdr_incore_threaded", OocMethod::kOupdr, 1 << 20, false},
+        CollectCase{"oupdr_incore_det", OocMethod::kOupdr, 1 << 20, true},
+        CollectCase{"oupdr_spill_threaded", OocMethod::kOupdr, 256, false},
+        CollectCase{"oupdr_spill_det", OocMethod::kOupdr, 256, true},
+        CollectCase{"onupdr_incore_threaded", OocMethod::kOnupdr, 1 << 20,
+                    false},
+        CollectCase{"onupdr_incore_det", OocMethod::kOnupdr, 1 << 20, true},
+        CollectCase{"onupdr_spill_threaded", OocMethod::kOnupdr, 256, false},
+        CollectCase{"onupdr_spill_det", OocMethod::kOnupdr, 256, true}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// A run that times out leaves its work queued. Collection would resume it,
+// so the runner returns without statistics and leaves out_subs unwritten.
+TEST(OocTimedOut, CollectionIsSkipped) {
+  core::ClusterOptions cluster = cluster_options(2, 1 << 20);
+  cluster.deterministic = true;
+  cluster.max_run_time = std::chrono::seconds(0);  // times out at once
+  std::vector<Subdomain> subs;
+  const OocRunResult r = run_opcdm_ooc(
+      pipe_problem(0.08), {.cluster = cluster, .strips = 6}, &subs);
+  ASSERT_TRUE(r.report.timed_out);
+  EXPECT_EQ(r.mesh.cells, 0u);
+  EXPECT_EQ(r.mesh.elements, 0u);
+  EXPECT_EQ(r.mesh.total_area, 0.0);
+  EXPECT_TRUE(subs.empty());
 }
 
 }  // namespace
