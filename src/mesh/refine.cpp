@@ -122,6 +122,7 @@ std::size_t DelaunayRefiner::process_segment_queue_entry() {
 }
 
 std::size_t DelaunayRefiner::process_triangle_queue_entry() {
+  blocked_.clear();
   const TriId t = tri_queue_.front();
   tri_queue_.pop_front();
   const TriRec& rec = tri_.tri(t);
@@ -129,9 +130,8 @@ std::size_t DelaunayRefiner::process_triangle_queue_entry() {
   const auto cc = circumcenter(tri_.point(rec.v[0]), tri_.point(rec.v[1]),
                                tri_.point(rec.v[2]));
   if (!cc) return 0;  // degenerate triangle: skip
-  std::vector<SubSegment> blocked;
   const InsertResult r =
-      tri_.insert_point(*cc, t, /*guard_segments=*/true, &blocked);
+      tri_.insert_point(*cc, t, /*guard_segments=*/true, &blocked_);
   switch (r.kind) {
     case InsertResult::Kind::kInserted:
       enqueue_created();
@@ -141,7 +141,7 @@ std::size_t DelaunayRefiner::process_triangle_queue_entry() {
       // split unconditionally (the encroaching point is hypothetical, so
       // the apex-based test cannot see it). Then revisit the triangle.
       std::size_t inserted = 0;
-      for (const SubSegment& s : blocked) {
+      for (const SubSegment& s : blocked_) {
         if (s.tri >= tri_.tri_slots()) continue;
         const TriRec& srec = tri_.tri(s.tri);
         if (!srec.alive || srec.seg[s.edge] == kNoSeg) continue;  // stale
@@ -150,7 +150,7 @@ std::size_t DelaunayRefiner::process_triangle_queue_entry() {
         ++inserted;
         enqueue_created();
       }
-      if (!blocked.empty()) {
+      if (!blocked_.empty()) {
         tri_queue_.push_back(t);  // revisit once the segments are split
       }
       // An empty blocked list means the walk ran off the mesh without a
@@ -176,14 +176,14 @@ std::size_t DelaunayRefiner::process_triangle_queue_entry() {
         m = midpoint(c, a);
       }
       const InsertResult r2 =
-          tri_.insert_point(m, t, /*guard_segments=*/true, &blocked);
+          tri_.insert_point(m, t, /*guard_segments=*/true, &blocked_);
       if (r2.kind == InsertResult::Kind::kInserted) {
         enqueue_created();
         return 1;
       }
       if (r2.kind == InsertResult::Kind::kBlocked) {
         std::size_t inserted = 0;
-        for (const SubSegment& s : blocked) {
+        for (const SubSegment& s : blocked_) {
           if (s.tri >= tri_.tri_slots()) continue;
           const TriRec& srec = tri_.tri(s.tri);
           if (!srec.alive || srec.seg[s.edge] == kNoSeg) continue;

@@ -90,6 +90,9 @@ class DelaunayRefiner {
   // re-validated when popped (triangles die as cavities are carved).
   std::deque<SubSegment> seg_queue_;
   std::deque<TriId> tri_queue_;
+  /// Subsegments that blocked the current triangle's insertion; cleared per
+  /// entry and kept so its buffer is reused.
+  std::vector<SubSegment> blocked_;
   std::size_t splits_ = 0;
 };
 

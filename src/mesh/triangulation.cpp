@@ -199,24 +199,44 @@ std::optional<std::pair<TriId, int>> Triangulation::find_edge(
   throw std::logic_error("Triangulation::find_edge: fan walk did not terminate");
 }
 
+struct Triangulation::CavityScratch {
+  std::vector<TriId> cavity;
+  std::vector<CavityEdge> boundary;
+  std::vector<TriId> stack;
+  /// mark[t] == epoch: triangle slot t is in the current cavity. One epoch
+  /// per cavity, so nothing is cleared between insertions; the array grows
+  /// to the largest triangulation this thread has inserted into.
+  std::vector<std::uint32_t> mark;
+  std::uint32_t epoch = 0;
+};
+
+Triangulation::CavityScratch& Triangulation::cavity_scratch() {
+  thread_local CavityScratch scratch;
+  return scratch;
+}
+
 void Triangulation::build_cavity(const Point2& p, TriId t0,
-                                 std::vector<TriId>& cavity,
-                                 std::vector<CavityEdge>& boundary) const {
-  cavity.clear();
-  boundary.clear();
-  std::unordered_set<TriId> in_cavity;
-  std::vector<TriId> stack{t0};
-  in_cavity.insert(t0);
-  while (!stack.empty()) {
-    const TriId t = stack.back();
-    stack.pop_back();
-    cavity.push_back(t);
+                                 CavityScratch& s) const {
+  s.cavity.clear();
+  s.boundary.clear();
+  if (++s.epoch == 0) {
+    std::fill(s.mark.begin(), s.mark.end(), 0u);
+    s.epoch = 1;
+  }
+  if (s.mark.size() < tris_.size()) s.mark.resize(tris_.size(), 0u);
+  const std::uint32_t epoch = s.epoch;
+  s.stack.assign(1, t0);
+  s.mark[t0] = epoch;
+  while (!s.stack.empty()) {
+    const TriId t = s.stack.back();
+    s.stack.pop_back();
+    s.cavity.push_back(t);
     const TriRec& rec = tris_[t];
     for (int i = 0; i < 3; ++i) {
       const TriId n = rec.nbr[i];
       const VertexId ea = rec.v[next3(i)];
       const VertexId eb = rec.v[prev3(i)];
-      if (n != kNoTri && in_cavity.contains(n)) continue;
+      if (n != kNoTri && s.mark[n] == epoch) continue;
       bool cross = false;
       if (n != kNoTri && rec.seg[i] == kNoSeg) {
         const TriRec& nrec = tris_[n];
@@ -224,22 +244,20 @@ void Triangulation::build_cavity(const Point2& p, TriId t0,
                          verts_[nrec.v[2]], p) > 0.0;
       }
       if (cross) {
-        in_cavity.insert(n);
-        stack.push_back(n);
+        s.mark[n] = epoch;
+        s.stack.push_back(n);
       } else {
-        boundary.push_back(CavityEdge{ea, eb, n, rec.seg[i], rec.inside != 0});
+        s.boundary.push_back(
+            CavityEdge{ea, eb, n, rec.seg[i], rec.inside != 0});
       }
     }
   }
 }
 
-void Triangulation::star_cavity(VertexId v, const std::vector<TriId>& cavity,
-                                const std::vector<CavityEdge>& boundary) {
-  for (TriId t : cavity) kill_tri(t);
+void Triangulation::star_cavity(VertexId v, const CavityScratch& s) {
+  const std::vector<CavityEdge>& boundary = s.boundary;
+  for (TriId t : s.cavity) kill_tri(t);
   created_.clear();
-  std::unordered_map<VertexId, TriId> by_a, by_b;
-  by_a.reserve(boundary.size());
-  by_b.reserve(boundary.size());
   for (const CavityEdge& e : boundary) {
     const TriId t = new_tri();
     TriRec& rec = tris_[t];
@@ -256,20 +274,28 @@ void Triangulation::star_cavity(VertexId v, const std::vector<TriId>& cavity,
         }
       }
     }
-    by_a[e.a] = t;
-    by_b[e.b] = t;
     vert_tri_[e.a] = t;
     vert_tri_[e.b] = t;
     created_.push_back(t);
   }
   vert_tri_[v] = created_.empty() ? kNoTri : created_.front();
+  // created_[k] is the star triangle on boundary[k]. A link is the star
+  // triangle of the last boundary edge whose `end` is x, so a boundary that
+  // visits a vertex twice links like a last-write-wins map keyed by vertex.
+  auto last_star = [&](VertexId CavityEdge::*end, VertexId x) {
+    for (std::size_t k = boundary.size(); k-- > 0;) {
+      if (boundary[k].*end == x) return created_[k];
+    }
+    throw std::logic_error(
+        "Triangulation::star_cavity: cavity boundary is not closed");
+  };
   for (const CavityEdge& e : boundary) {
-    const TriId t = by_a.at(e.a);
+    const TriId t = last_star(&CavityEdge::a, e.a);
     // Edge opposite index 0 (vertex a) is (b, v): neighbor is the triangle
     // whose boundary edge starts at b. Edge opposite index 1 (vertex b) is
     // (v, a): neighbor's boundary edge ends at a.
-    tris_[t].nbr[0] = by_a.at(e.b);
-    tris_[t].nbr[1] = by_b.at(e.a);
+    tris_[t].nbr[0] = last_star(&CavityEdge::a, e.b);
+    tris_[t].nbr[1] = last_star(&CavityEdge::b, e.a);
   }
 }
 
@@ -306,13 +332,12 @@ InsertResult Triangulation::insert_point(const Point2& p, TriId hint,
     }
   }
 
-  std::vector<TriId> cavity;
-  std::vector<CavityEdge> boundary;
-  build_cavity(p, t0, cavity, boundary);
+  CavityScratch& scratch = cavity_scratch();
+  build_cavity(p, t0, scratch);
 
   if (guard_segments) {
     bool blocked = false;
-    for (const CavityEdge& e : boundary) {
+    for (const CavityEdge& e : scratch.boundary) {
       if (e.seg == kNoSeg) continue;
       if (in_diametral_circle(verts_[e.a], verts_[e.b], p)) {
         blocked = true;
@@ -335,7 +360,7 @@ InsertResult Triangulation::insert_point(const Point2& p, TriId hint,
   }
 
   const VertexId v = new_vertex(p, VertexKind::kFree);
-  star_cavity(v, cavity, boundary);
+  star_cavity(v, scratch);
   return {InsertResult::Kind::kInserted, v, kNoTri, -1};
 }
 

@@ -23,6 +23,7 @@
 #include <span>
 #include <limits>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "mesh/geom.hpp"
@@ -55,7 +56,12 @@ struct TriRec {
   std::array<SegId, 3> seg{kNoSeg, kNoSeg, kNoSeg};
   std::uint8_t alive = 1;
   std::uint8_t inside = 1;
+  /// Always 0. Names the two bytes that would otherwise be padding, so the
+  /// raw records serialize without indeterminate bytes.
+  std::uint16_t spare = 0;
 };
+static_assert(sizeof(TriRec) == 40);
+static_assert(std::has_unique_object_representations_v<TriRec>);
 
 struct InsertResult {
   enum class Kind {
@@ -253,13 +259,18 @@ class Triangulation {
     bool inside;
   };
 
-  /// Collects the insertion cavity of p starting at triangle t0.
-  void build_cavity(const Point2& p, TriId t0, std::vector<TriId>& cavity,
-                    std::vector<CavityEdge>& boundary) const;
+  /// Buffers of one insertion, reused by every insertion on the calling
+  /// thread (defined in the .cpp). They live outside the object, so they
+  /// never grow footprint_bytes(), copies or the serialized form.
+  struct CavityScratch;
+  static CavityScratch& cavity_scratch();
 
-  /// Replaces the cavity with a star around the new vertex.
-  void star_cavity(VertexId v, const std::vector<TriId>& cavity,
-                   const std::vector<CavityEdge>& boundary);
+  /// Collects the insertion cavity of p starting at triangle t0 into
+  /// s.cavity and s.boundary.
+  void build_cavity(const Point2& p, TriId t0, CavityScratch& s) const;
+
+  /// Replaces the cavity in `s` with a star around the new vertex.
+  void star_cavity(VertexId v, const CavityScratch& s);
 
   std::vector<Point2> verts_;
   std::vector<VertexKind> kinds_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <tuple>
 
 namespace mrts::pumg {
 
@@ -278,8 +279,18 @@ void Subdomain::serialize(util::ByteWriter& out) const {
   out.write(cell_);
   tri_.serialize(out);
   out.write_vector(seg_side_);
-  out.write<std::uint64_t>(border_verts_.size());
-  for (const auto& [key, v] : border_verts_) {
+  // Written sorted by (vertex, key), not in bucket order: a reloaded map
+  // has a different bucket history, and its cell must re-serialize to the
+  // same bytes.
+  std::vector<std::pair<VertexId, PointKey>> border;
+  border.reserve(border_verts_.size());
+  for (const auto& [key, v] : border_verts_) border.emplace_back(v, key);
+  std::sort(border.begin(), border.end(), [](const auto& l, const auto& r) {
+    return std::tie(l.first, l.second.x, l.second.y) <
+           std::tie(r.first, r.second.x, r.second.y);
+  });
+  out.write<std::uint64_t>(border.size());
+  for (const auto& [v, key] : border) {
     out.write(key);
     out.write(v);
   }

@@ -256,6 +256,78 @@ INSTANTIATE_TEST_SUITE_P(
         CollectCase{"onupdr_spill_det", OocMethod::kOnupdr, 256, true}),
     [](const auto& info) { return std::string(info.param.name); });
 
+// Kernel goldens through the runtime: the deterministic driver on 4 nodes
+// with a budget small enough to spill, so cells are serialized, reloaded
+// and refined further. One FNV-1a 64 hash runs over every cell's
+// Triangulation::serialize bytes, in cell order. Each returned subdomain
+// must also re-serialize to the same bytes after a round trip.
+struct KernelGoldenCase {
+  const char* name;
+  OocMethod method;
+  std::uint64_t digest;
+};
+
+void PrintTo(const KernelGoldenCase& c, std::ostream* os) { *os << c.name; }
+
+class OocKernelGolden : public ::testing::TestWithParam<KernelGoldenCase> {};
+
+std::vector<std::byte> bytes_of(const Subdomain& sub) {
+  util::ByteWriter w;
+  sub.serialize(w);
+  return w.take();
+}
+
+TEST_P(OocKernelGolden, MeshBytesMatchAndSurviveRoundTrip) {
+  const KernelGoldenCase& c = GetParam();
+  core::ClusterOptions cluster = cluster_options(4, 128);
+  cluster.deterministic = true;
+  const MeshProblem problem = square_problem(0.012);
+  std::vector<Subdomain> subs;
+  Decomposition decomp;
+  OocRunResult r;
+  if (c.method == OocMethod::kOpcdm) {
+    r = run_opcdm_ooc(problem, {.cluster = cluster, .strips = 8}, &subs,
+                      &decomp);
+  } else if (c.method == OocMethod::kOupdr) {
+    r = run_oupdr_ooc(problem, {.cluster = cluster, .nx = 4, .ny = 4}, &subs,
+                      &decomp);
+  } else {
+    r = run_onupdr_ooc(problem, {.cluster = cluster}, &subs, &decomp);
+  }
+  ASSERT_FALSE(r.report.timed_out);
+  EXPECT_GT(r.objects_spilled, 0u);
+
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const Subdomain& sub : subs) {
+    util::ByteWriter w;
+    sub.tri().serialize(w);
+    for (const std::byte b : w.bytes()) {
+      h = (h ^ static_cast<std::uint64_t>(b)) * 0x100000001b3ull;
+    }
+  }
+  EXPECT_EQ(h, c.digest) << std::hex << h;
+
+  std::size_t changed = 0;
+  for (const Subdomain& sub : subs) {
+    const std::vector<std::byte> once = bytes_of(sub);
+    util::ByteReader in(once);
+    Subdomain reloaded;
+    reloaded.deserialize(in);
+    if (bytes_of(reloaded) != once) ++changed;
+  }
+  EXPECT_EQ(changed, 0u) << "of " << subs.size() << " subdomains";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    , OocKernelGolden,
+    ::testing::Values(
+        KernelGoldenCase{"opcdm_8_strips", OocMethod::kOpcdm,
+                         0xd90f384841cbc67cull},
+        KernelGoldenCase{"oupdr_4x4", OocMethod::kOupdr, 0x934e450b6b57645cull},
+        KernelGoldenCase{"onupdr_default", OocMethod::kOnupdr,
+                         0x40385da84bfc406bull}),
+    [](const auto& info) { return std::string(info.param.name); });
+
 // A run that times out leaves its work queued. Collection would resume it,
 // so the runner returns without statistics and leaves out_subs unwritten.
 TEST(OocTimedOut, CollectionIsSkipped) {
