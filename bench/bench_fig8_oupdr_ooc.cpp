@@ -15,7 +15,7 @@ int main() {
       "time grows almost linearly with problem size despite heavy swapping");
 
   Table t({"elements (10^3)", "time (s)", "us/element", "spills", "loads",
-           "spilled MB"});
+           "spilled MB", "peak in-core (KB)"});
   std::uint64_t retries = 0, recovered = 0, reinstalled = 0, poisoned = 0;
   for (std::size_t target : {40000, 80000, 160000, 320000}) {
     const auto problem = uniform_problem(target);
@@ -27,7 +27,8 @@ int main() {
     t.row(ooc.mesh.elements / 1000, ooc.report.total_seconds,
           1e6 * ooc.report.total_seconds /
               static_cast<double>(ooc.mesh.elements),
-          ooc.objects_spilled, ooc.objects_loaded, ooc.bytes_spilled >> 20);
+          ooc.objects_spilled, ooc.objects_loaded, ooc.bytes_spilled >> 20,
+          ooc.peak_in_core_bytes >> 10);
     retries += ooc.storage_retries;
     recovered += ooc.loads_recovered + ooc.checkpoint_recoveries;
     reinstalled += ooc.spills_reinstalled;

@@ -7,6 +7,7 @@
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "util/format.hpp"
 
@@ -14,6 +15,7 @@ namespace mrts::mesh {
 namespace {
 
 constexpr int kMaxWalkSteps = 1 << 22;
+constexpr double kPi = 3.14159265358979323846;
 
 inline int next3(int i) { return (i + 1) % 3; }
 inline int prev3(int i) { return (i + 2) % 3; }
@@ -973,13 +975,37 @@ double Triangulation::min_inside_angle_deg() const {
 InsideQuality Triangulation::inside_quality(double goal_deg) const {
   InsideQuality q;
   const double below = goal_deg - 1e-9;
+  // A triangle whose smallest angle exceeds t = max(minimum so far, below)
+  // changes neither the minimum nor the count, so min_angle_deg() is
+  // skipped when the law of cosines proves it. The smallest angle lies
+  // opposite the shortest edge; with squared edge lengths s <= p, r its
+  // cosine is (p + r - s) / (2 sqrt(p r)), positive because the angle is
+  // at most 60 degrees. So it exceeds t < 89 degrees when
+  // (p + r - s)^2 < 4 cos^2(t) p r. The 1e-6 relative margin dwarfs the
+  // rounding of this test and of min_angle_deg(); where the products
+  // underflow, rounding can only turn the test into a tie, which measures
+  // the triangle. So does a zero-length edge, read as 0 degrees.
+  double skip_coef = 0.0;  // 4 cos^2(t) (1 - 1e-6); 0 skips nothing
+  const auto set_threshold = [&] {
+    const double t = std::max(q.min_angle_deg, below);
+    const double cos_t = std::cos(t * (kPi / 180.0));
+    skip_coef = t < 89.0 ? 4.0 * cos_t * cos_t * (1.0 - 1e-6) : 0.0;
+  };
+  set_threshold();
   for_each_inside([&](TriId, const TriRec& rec) {
     const Point2& a = verts_[rec.v[0]];
     const Point2& b = verts_[rec.v[1]];
     const Point2& c = verts_[rec.v[2]];
     q.area += 0.5 * orient2d(a, b, c);
+    double s = dist2(a, b), p = dist2(b, c), r = dist2(c, a);
+    if (p < s) std::swap(s, p);
+    if (r < s) std::swap(s, r);
+    if (s > 0.0 && (p + r - s) * (p + r - s) < skip_coef * p * r) return;
     const double m = min_angle_deg(a, b, c);
-    q.min_angle_deg = std::min(q.min_angle_deg, m);
+    if (m < q.min_angle_deg) {
+      q.min_angle_deg = m;
+      set_threshold();
+    }
     if (m < below) ++q.below_goal;
   });
   return q;

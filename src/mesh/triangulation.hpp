@@ -206,7 +206,9 @@ class Triangulation {
   [[nodiscard]] double min_inside_angle_deg() const;
 
   /// Area, smallest angle and below-goal count of the inside triangles:
-  /// one min_angle_deg() and one orient2d() per triangle.
+  /// one orient2d() per triangle, and one min_angle_deg() per triangle that
+  /// could lower the minimum or fall below the goal. The result is the same
+  /// as measuring every triangle.
   [[nodiscard]] InsideQuality inside_quality(double goal_deg) const;
 
   // --- serialization -------------------------------------------------------------

@@ -4,6 +4,7 @@
 #include <optional>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "obs/trace.hpp"
 #include "util/format.hpp"
@@ -73,16 +74,22 @@ class OocApp {
   /// construction-time boundary splits (usually empty with CDT recovery).
   std::vector<std::vector<BoundarySplit>> create_cells() {
     cell_type_ = cluster_.registry().register_type<CellObject>("pumg-cell");
-    // Read-only: collection leaves clean cells eligible for spill elision.
+    // Consumes the cell: measures its subdomain, then moves it to the
+    // caller's slot or drops it, so the cell shrinks to an empty shell. A
+    // reloaded cell then starts its node's next reload (see
+    // collect_stats()).
     h_collect_ = cluster_.registry().register_handler(
-        cell_type_,
-        [this](Runtime&, MobileObject& obj, MobilePtr, NodeId,
-               util::ByteReader&) {
-          const auto& cell = static_cast<const CellObject&>(obj);
+        cell_type_, [this](Runtime& rt, MobileObject& obj, MobilePtr, NodeId,
+                           util::ByteReader&) {
+          auto& cell = static_cast<CellObject&>(obj);
           collected_[cell.index] =
               cell_stats(cell.sub.tri(), problem_.refine.min_angle_deg);
-        },
-        /*read_only=*/true);
+          Subdomain sub = std::exchange(cell.sub, Subdomain{});
+          if (out_subs_ != nullptr) {
+            (*out_subs_)[cell.index] = std::move(sub);
+          }
+          if (reloaded_[cell.index]) collect_next_spilled(rt);
+        });
     const auto nodes = static_cast<NodeId>(cluster_.size());
     std::vector<std::vector<BoundarySplit>> initial(decomp_.size());
     for (std::uint32_t i = 0; i < decomp_.size(); ++i) {
@@ -102,39 +109,66 @@ class OocApp {
     return initial;
   }
 
-  /// Locks every cell in-core on its current owner and posts it one
-  /// read-only collect message there; one run() drives the reloads and
-  /// measures every subdomain in a single pass on its owner's node thread.
-  /// The caller then sums the per-cell results in cell order, optionally
-  /// copies the subdomains out (for conformity checks), and unlocks.
+  /// Collects every cell on its current owner: the cell is locked in core
+  /// and posted one collect message, whose handler measures and hands over
+  /// its subdomain on the owner's node thread. One run() drives the reloads
+  /// and the handlers. Resident cells are posted at once. Spilled cells are
+  /// reloaded through max_concurrent_loads + 1 chains per node, each
+  /// measured cell starting the next reload, so no more reloaded cells wait
+  /// for their handler than the loads in flight plus one being measured.
+  /// The locks keep a waiting cell from being evicted; a measured cell is
+  /// an empty shell. The caller then sums the per-cell results in cell
+  /// order and unlocks.
   MeshRunStats collect_stats(std::vector<Subdomain>* out_subs) {
     collected_.assign(cells_.size(), std::nullopt);
-    for (MobilePtr p : cells_) {
-      owner_of(p).lock_in_core(p);
+    out_subs_ = out_subs;
+    if (out_subs != nullptr) out_subs->resize(cells_.size());
+    reloaded_.assign(cells_.size(), 0);
+    to_reload_.assign(cluster_.size(), {});
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      Runtime& rt = owner_of(cells_[i]);
+      if (rt.peek(cells_[i]) != nullptr) {
+        start_collect(rt, cells_[i]);
+      } else {
+        reloaded_[i] = 1;
+        to_reload_[rt.node()].push_back(cells_[i]);
+      }
     }
-    for (MobilePtr p : cells_) {
-      owner_of(p).send(p, h_collect_, std::vector<std::byte>{});
+    for (std::size_t n = 0; n < cluster_.size(); ++n) {
+      Runtime& rt = cluster_.node(static_cast<NodeId>(n));
+      for (int c = 0; c <= rt.options().ooc.max_concurrent_loads; ++c) {
+        collect_next_spilled(rt);
+      }
     }
     (void)cluster_.run();
+    out_subs_ = nullptr;
     MeshRunStats stats;
     stats.quality_goal_deg = problem_.refine.min_angle_deg;
-    if (out_subs != nullptr) out_subs->resize(cells_.size());
     for (std::size_t i = 0; i < cells_.size(); ++i) {
-      const MobilePtr p = cells_[i];
-      Runtime& rt = owner_of(p);
-      auto* obj = rt.peek(p);
-      if (obj == nullptr || !collected_[i]) {
+      Runtime& rt = owner_of(cells_[i]);
+      if (!collected_[i]) {
         throw std::logic_error(util::format(
-            "ooc pumg: cell {} on node {} {} after the collect run", i,
-            rt.node(), obj == nullptr ? "not in core" : "not measured"));
+            "ooc pumg: cell {} on node {} not measured after the collect run",
+            i, rt.node()));
       }
       accumulate_stats(stats, *collected_[i]);
-      if (out_subs != nullptr) {
-        (*out_subs)[i] = static_cast<CellObject&>(*obj).sub;
-      }
-      rt.unlock(p);
+      rt.unlock(cells_[i]);
     }
     return stats;
+  }
+
+  void start_collect(Runtime& rt, MobilePtr p) {
+    rt.lock_in_core(p);
+    rt.send(p, h_collect_, std::vector<std::byte>{});
+  }
+
+  /// Starts collecting `rt`'s next spilled cell, if any is left. Runs on
+  /// that node's thread during the collect run.
+  void collect_next_spilled(Runtime& rt) {
+    std::vector<MobilePtr>& left = to_reload_[rt.node()];
+    if (left.empty()) return;
+    start_collect(rt, left.back());
+    left.pop_back();
   }
 
   /// Snapshot of the global recorder's per-node span busy aggregates
@@ -176,6 +210,11 @@ class OocApp {
     // another max_run_time. Its statistics stay zero, out_subs unwritten.
     if (!report.timed_out) result.mesh = collect_stats(out_subs);
     if (out_decomp != nullptr) *out_decomp = decomp_;
+    for (std::size_t n = 0; n < cluster_.size(); ++n) {
+      result.peak_in_core_bytes = std::max(
+          result.peak_in_core_bytes,
+          cluster_.node(static_cast<NodeId>(n)).peak_in_core_bytes());
+    }
     result.mesh.rounds = rounds;
     result.mesh.boundary_splits_exchanged = splits;
     result.mesh.wall_seconds = report.total_seconds;
@@ -224,7 +263,8 @@ class OocApp {
         return cluster_.node(static_cast<NodeId>(n));
       }
     }
-    throw std::logic_error("ooc pumg: object owner not found");
+    throw std::logic_error("ooc pumg: owner of " + core::to_string(p) +
+                           " not found");
   }
 
  protected:
@@ -236,7 +276,14 @@ class OocApp {
   HandlerId h_collect_ = 0;
   /// One slot per cell, sized before the collect run; a slot is written
   /// only by its cell's collect handler and read after run() returns.
+  /// `out_subs_` is the caller's vector, set for the collect run only, and
+  /// `reloaded_` marks the cells that were spilled when collection began.
   std::vector<std::optional<CellStats>> collected_;
+  std::vector<Subdomain>* out_subs_ = nullptr;
+  std::vector<std::uint8_t> reloaded_;
+  /// Per node, the spilled cells not yet posted; in the collect run only
+  /// that node's thread touches its list.
+  std::vector<std::vector<MobilePtr>> to_reload_;
   std::vector<core::BusyTimes> span_before_;
 };
 

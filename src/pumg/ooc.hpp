@@ -23,14 +23,18 @@
 // All cell objects serialize their full subdomain triangulation, so the
 // out-of-core layer can swap any of them to disk between messages.
 //
-// After the parallel phase, mesh statistics are collected where the cells
-// live: each cell is locked in core on its owner and sent one read-only
-// collect message, which measures its subdomain in a single pass on that
-// node's thread (area, smallest angle, below-goal count); one run drives
-// the reloads and the measuring. The caller only sums the per-cell results
-// in cell order. A run that timed out skips
-// collection, which would otherwise resume its leftover work: elements,
-// cells and area stay zero and `out_subs` is not written.
+// After the parallel phase, the mesh is collected where the cells live.
+// Each cell is locked in core on its owner and sent one collect message.
+// Its handler runs on that node's thread: it measures the subdomain in one
+// pass (area, smallest angle, below-goal count), then moves the subdomain
+// into the caller's `out_subs` slot, or frees it when there is no
+// `out_subs`. One run drives the reloads and the handlers. Resident cells
+// are posted at once; spilled cells reload a few at a time per node, each
+// measured cell posting the next. A measured cell is an empty shell, so the
+// whole mesh is never resident in the runtime at once. The caller only sums
+// the per-cell results in cell order. A run that timed out skips collection,
+// which would otherwise resume its leftover work: elements, cells and area
+// stay zero and `out_subs` is not written.
 
 #include "core/cluster.hpp"
 #include "pumg/method.hpp"
@@ -63,6 +67,9 @@ struct OocRunResult {
   std::uint64_t checkpoint_recoveries = 0;
   std::uint64_t spills_reinstalled = 0;
   std::uint64_t objects_poisoned = 0;
+  /// Largest per-node high-watermark of in-core object bytes over the whole
+  /// job, collection included (core::Runtime::peak_in_core_bytes).
+  std::size_t peak_in_core_bytes = 0;
   /// Per-node busy seconds of the main parallel phase derived from trace
   /// spans (obs::TraceRecorder aggregates), for cross-checking the
   /// NodeCounters breakdown in `report`. All zero unless the caller enabled
@@ -101,10 +108,10 @@ struct OnupdrOocConfig {
   std::size_t max_concurrent_leaves = 8;
 };
 
-/// Each runner optionally copies out the final subdomains and the
-/// decomposition (for conformity checking and visualization). When
-/// `report.timed_out` is set, no statistics are collected and `out_subs`
-/// is not written.
+/// Each runner optionally hands out the final subdomains, one per cell in
+/// cell order, and a copy of the decomposition (for conformity checking and
+/// visualization). When `report.timed_out` is set, no statistics are
+/// collected and `out_subs` is not written.
 OocRunResult run_opcdm_ooc(const MeshProblem& problem,
                            const OpcdmOocConfig& config,
                            std::vector<Subdomain>* out_subs = nullptr,

@@ -3,10 +3,14 @@
 // bounded slices, and for both run on several threads at once (insertion
 // keeps its scratch buffers per thread, so threads and meshes must not
 // leak into each other). Any change to the traversal, the free list or the
-// record layout shows up here as a different digest.
+// record layout shows up here as a different digest. The quality pass that
+// skips provably unneeded trigonometry is checked against the loop that
+// measures every triangle.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -14,6 +18,7 @@
 #include <vector>
 
 #include "mesh/refine.hpp"
+#include "util/rng.hpp"
 
 namespace mrts::mesh {
 namespace {
@@ -65,21 +70,135 @@ TEST_P(KernelDigest, RefinePslgMatchesGolden) {
   }
 }
 
+const KernelCase kRefineCases[] = {
+    kUnitSquare,
+    KernelCase{"pipe_section", &pipe,
+               {.min_angle_deg = 20.0, .size_field = uniform_size(0.08)},
+               0xc683838e889df045ull},
+    kKeyShape,
+    KernelCase{"perforated_plate", &plate, {.min_angle_deg = 30.0},
+               0x634631c73147b5bdull},
+    KernelCase{"graded_rectangle", &square20,
+               {.min_angle_deg = 20.0,
+                .size_field = graded_size({0, 0}, 0.02, 0.3, 0.1, 1.0)},
+               0x521be65948780bdbull},
+};
+
 INSTANTIATE_TEST_SUITE_P(
-    , KernelDigest,
-    ::testing::Values(
-        kUnitSquare,
-        KernelCase{"pipe_section", &pipe,
-                   {.min_angle_deg = 20.0, .size_field = uniform_size(0.08)},
-                   0xc683838e889df045ull},
-        kKeyShape,
-        KernelCase{"perforated_plate", &plate, {.min_angle_deg = 30.0},
-                   0x634631c73147b5bdull},
-        KernelCase{"graded_rectangle", &square20,
-                   {.min_angle_deg = 20.0,
-                    .size_field = graded_size({0, 0}, 0.02, 0.3, 0.1, 1.0)},
-                   0x521be65948780bdbull}),
+    , KernelDigest, ::testing::ValuesIn(kRefineCases),
     [](const auto& info) { return std::string(info.param.name); });
+
+// inside_quality() skips min_angle_deg() for a triangle the law of cosines
+// proves cannot lower the minimum or fall below the goal. The reference is
+// the loop it replaced, kept verbatim, which measures every triangle: area
+// and smallest angle must match bit for bit, the below-goal count exactly.
+InsideQuality measure_every_triangle(const Triangulation& tri,
+                                     double goal_deg) {
+  InsideQuality q;
+  const double below = goal_deg - 1e-9;
+  tri.for_each_inside([&](TriId, const TriRec& rec) {
+    const Point2& a = tri.point(rec.v[0]);
+    const Point2& b = tri.point(rec.v[1]);
+    const Point2& c = tri.point(rec.v[2]);
+    q.area += 0.5 * orient2d(a, b, c);
+    const double m = min_angle_deg(a, b, c);
+    q.min_angle_deg = std::min(q.min_angle_deg, m);
+    if (m < below) ++q.below_goal;
+  });
+  return q;
+}
+
+void expect_quality_matches(const Triangulation& tri) {
+  for (const double goal : {0.0, 20.0, 33.0, 45.0, 60.0}) {
+    const InsideQuality want = measure_every_triangle(tri, goal);
+    const InsideQuality got = tri.inside_quality(goal);
+    EXPECT_EQ(std::memcmp(&got.area, &want.area, sizeof got.area), 0)
+        << "goal " << goal << ": area " << got.area << " vs " << want.area;
+    EXPECT_EQ(std::memcmp(&got.min_angle_deg, &want.min_angle_deg,
+                          sizeof got.min_angle_deg),
+              0)
+        << "goal " << goal << ": min angle " << got.min_angle_deg << " vs "
+        << want.min_angle_deg;
+    EXPECT_EQ(got.below_goal, want.below_goal) << "goal " << goal;
+  }
+}
+
+/// `tri` with every coordinate multiplied by 2^-258. A power of two scales
+/// exactly, so min_angle_deg() sees the same angles, but a product of two
+/// squared edge lengths falls below the normal range (to about 1e-318 for
+/// edges of 0.015), where a double keeps only a few significant digits.
+Triangulation scaled_down(const Triangulation& tri) {
+  util::ByteWriter w;
+  tri.serialize(w);
+  std::vector<std::byte> bytes = w.take();
+  // serialize() starts with the vertices: a u64 count, then x, y pairs.
+  std::uint64_t count = 0;
+  std::memcpy(&count, bytes.data(), sizeof count);
+  for (std::size_t i = 0; i < 2 * count; ++i) {
+    std::byte* at = bytes.data() + sizeof count + i * sizeof(double);
+    double v = 0.0;
+    std::memcpy(&v, at, sizeof v);
+    v = std::ldexp(v, -258);
+    std::memcpy(at, &v, sizeof v);
+  }
+  util::ByteReader in(bytes);
+  return Triangulation::deserialized(in);
+}
+
+class KernelQuality : public ::testing::TestWithParam<KernelCase> {};
+
+TEST_P(KernelQuality, SkippingMatchesMeasuringEveryTriangle) {
+  const Triangulation t = refine_pslg(GetParam().make(), GetParam().options);
+  expect_quality_matches(t);
+  expect_quality_matches(scaled_down(t));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    , KernelQuality, ::testing::ValuesIn(kRefineCases),
+    [](const auto& info) { return std::string(info.param.name); });
+
+/// Delaunay triangulation of `points`, which lie strictly inside the unit
+/// square, together with the square's corners: every triangle is inside.
+Triangulation point_cloud(const std::vector<Point2>& points) {
+  Pslg pslg = make_unit_square();
+  pslg.points.insert(pslg.points.end(), points.begin(), points.end());
+  return Triangulation::conforming(pslg);
+}
+
+TEST(KernelQualityClouds, SkippingMatchesMeasuringEveryTriangle) {
+  util::Rng rng(0x9e3779b97f4a7c15ull);
+  std::vector<Point2> uniform;
+  const auto inner = [&rng] { return rng.uniform(0.01, 0.99); };
+  for (int i = 0; i < 3000; ++i) uniform.push_back({inner(), inner()});
+
+  // Near-collinear: most points within 1e-9 of the line y = 0.5.
+  std::vector<Point2> collinear;
+  for (int i = 0; i < 600; ++i) {
+    collinear.push_back({inner(), 0.5 + 1e-9 * rng.uniform(-1.0, 1.0)});
+  }
+  for (int i = 0; i < 200; ++i) collinear.push_back({inner(), inner()});
+
+  // Near-equal edges: an equilateral lattice jittered by 1e-9, so the
+  // edges of a triangle differ by about 1e-7 relative and most smallest
+  // angles sit within 1e-5 degrees of 60, next to the goal-60 threshold.
+  std::vector<Point2> lattice;
+  const double h = 0.02;
+  for (int j = 0; j < 40; ++j) {
+    for (int i = 0; i < 40; ++i) {
+      const double x = 0.1 + h * (i + 0.5 * (j % 2));
+      const double y = 0.1 + h * std::sqrt(3.0) / 2.0 * j;
+      lattice.push_back({x + 1e-9 * rng.uniform(-1.0, 1.0),
+                         y + 1e-9 * rng.uniform(-1.0, 1.0)});
+    }
+  }
+
+  for (const auto* points : {&uniform, &collinear, &lattice}) {
+    const Triangulation t = point_cloud(*points);
+    ASSERT_GE(t.inside_triangles(), points->size());
+    expect_quality_matches(t);
+    expect_quality_matches(scaled_down(t));
+  }
+}
 
 // Refinement in bounded slices of 500 vertices, each slice by a new
 // refiner (as NUPDR leaves are refined).

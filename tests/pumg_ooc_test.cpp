@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <optional>
 #include <ostream>
 
 #include "pumg/nupdr.hpp"
@@ -180,11 +182,24 @@ TEST(OocNupdr, SwappingRunWithSmallLeaves) {
 // subdomains, whichever driver ran them and whether cells had to reload.
 enum class OocMethod { kOpcdm, kOupdr, kOnupdr };
 
+/// Spills, loads and messages of one deterministic run.
+struct Traffic {
+  std::uint64_t spilled = 0;
+  std::uint64_t loaded = 0;
+  std::uint64_t messages = 0;
+};
+
 struct CollectCase {
   const char* name;
   OocMethod method;
   std::size_t budget_kb;
   bool deterministic;
+  /// Deterministic runs only: the counts collection produced when it locked
+  /// every cell in core at once and measured it read-only.
+  std::optional<Traffic> traffic = std::nullopt;
+  int oupdr_side = 3;  // OUPDR grid cells per side
+  /// Every node owns at least 8 cells and no 4 of them fit the budget.
+  bool tight = false;
 };
 
 void PrintTo(const CollectCase& c, std::ostream* os) { *os << c.name; }
@@ -197,7 +212,10 @@ OocRunResult run_case(const CollectCase& c, core::ClusterOptions cluster,
   }
   if (c.method == OocMethod::kOupdr) {
     return run_oupdr_ooc(pipe_problem(0.05),
-                         {.cluster = cluster, .nx = 3, .ny = 3}, subs, decomp);
+                         {.cluster = cluster,
+                          .nx = c.oupdr_side,
+                          .ny = c.oupdr_side},
+                         subs, decomp);
   }
   return run_onupdr_ooc(graded_pipe_problem(),
                         {.cluster = cluster, .leaf_element_budget = 300},
@@ -238,22 +256,71 @@ TEST_P(OocCollect, ResultMatchesReturnedSubdomains) {
       << r.mesh.min_angle_deg << " vs " << kernel.min_angle_deg;
 }
 
+// Collection reloads spilled cells a few at a time and empties each one as
+// it is measured, so it stays inside the rules the main phase runs under:
+// over its budget a node holds at most the reloads in flight, which land
+// before the cells they displace are evicted, plus the cell a running
+// handler grows. Locking every cell at once would hold a node's whole share.
+TEST_P(OocCollect, PeakStaysWithinBudgetPlusReloadsInFlight) {
+  const CollectCase& c = GetParam();
+  core::ClusterOptions cluster = cluster_options(2, c.budget_kb);
+  cluster.deterministic = c.deterministic;
+  std::vector<Subdomain> subs;
+  Decomposition decomp;
+  const OocRunResult r = run_case(c, cluster, &subs, &decomp);
+  ASSERT_FALSE(r.report.timed_out);
+  ASSERT_EQ(subs.size(), decomp.size());
+
+  std::vector<std::size_t> footprints;
+  for (const Subdomain& sub : subs) footprints.push_back(sub.footprint_bytes());
+  std::sort(footprints.begin(), footprints.end());
+  const std::size_t budget = c.budget_kb << 10;
+  const auto in_flight =
+      static_cast<std::size_t>(cluster.runtime.ooc.max_concurrent_loads);
+  const std::size_t bound = budget + (in_flight + 1) * footprints.back();
+  EXPECT_LE(r.peak_in_core_bytes, bound)
+      << "budget " << budget << ", largest cell " << footprints.back();
+  if (c.tight) {
+    EXPECT_GE(decomp.size(), 8 * cluster.nodes);
+    EXPECT_GT(footprints[0] + footprints[1] + footprints[2] + footprints[3],
+              budget);
+  }
+  if (c.traffic) {
+    EXPECT_EQ(r.objects_spilled, c.traffic->spilled);
+    EXPECT_EQ(r.objects_loaded, c.traffic->loaded);
+    EXPECT_EQ(r.messages_executed, c.traffic->messages);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     , OocCollect,
     ::testing::Values(
         CollectCase{"opcdm_incore_threaded", OocMethod::kOpcdm, 1 << 20, false},
-        CollectCase{"opcdm_incore_det", OocMethod::kOpcdm, 1 << 20, true},
+        CollectCase{"opcdm_incore_det", OocMethod::kOpcdm, 1 << 20, true,
+                    Traffic{0, 0, 24}},
         CollectCase{"opcdm_spill_threaded", OocMethod::kOpcdm, 256, false},
-        CollectCase{"opcdm_spill_det", OocMethod::kOpcdm, 256, true},
+        CollectCase{"opcdm_spill_det", OocMethod::kOpcdm, 256, true,
+                    Traffic{6, 6, 24}},
         CollectCase{"oupdr_incore_threaded", OocMethod::kOupdr, 1 << 20, false},
-        CollectCase{"oupdr_incore_det", OocMethod::kOupdr, 1 << 20, true},
+        CollectCase{"oupdr_incore_det", OocMethod::kOupdr, 1 << 20, true,
+                    Traffic{0, 0, 45}},
         CollectCase{"oupdr_spill_threaded", OocMethod::kOupdr, 256, false},
-        CollectCase{"oupdr_spill_det", OocMethod::kOupdr, 256, true},
+        CollectCase{"oupdr_spill_det", OocMethod::kOupdr, 256, true,
+                    Traffic{10, 10, 45}},
         CollectCase{"onupdr_incore_threaded", OocMethod::kOnupdr, 1 << 20,
                     false},
-        CollectCase{"onupdr_incore_det", OocMethod::kOnupdr, 1 << 20, true},
+        CollectCase{"onupdr_incore_det", OocMethod::kOnupdr, 1 << 20, true,
+                    Traffic{0, 0, 103}},
         CollectCase{"onupdr_spill_threaded", OocMethod::kOnupdr, 256, false},
-        CollectCase{"onupdr_spill_det", OocMethod::kOnupdr, 256, true}),
+        CollectCase{"onupdr_spill_det", OocMethod::kOnupdr, 256, true,
+                    Traffic{17, 17, 105}},
+        CollectCase{"oupdr_4x4_tight_threaded", OocMethod::kOupdr, 40, false,
+                    std::nullopt, 4, true},
+        CollectCase{"oupdr_4x4_tight_det", OocMethod::kOupdr, 40, true,
+                    Traffic{31, 61, 80}, 4, true},
+        // 18 cells per node: the bound does not depend on the cell count.
+        CollectCase{"oupdr_6x6_det", OocMethod::kOupdr, 16, true,
+                    Traffic{102, 245, 180}, 6}),
     [](const auto& info) { return std::string(info.param.name); });
 
 // Kernel goldens through the runtime: the deterministic driver on 4 nodes
