@@ -2,7 +2,7 @@
 // spill churn workload: the same keyed store/load/erase sequence (many
 // overwritten generations, periodic virtual ticks) is driven through both
 // engines and the physical device operations are compared. Blob-per-object
-// pays a payload write + rename per store and an unlink per erase; the log
+// pays a payload write + truncate per store and an unlink per erase; the log
 // engine batches everything into group commits and reclaims dead
 // generations by tick-driven compaction. The acceptance bar (gates the
 // engine, asserted in CI from the JSON meta): >= 5x fewer backend ops per

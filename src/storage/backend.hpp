@@ -30,8 +30,8 @@ struct BackendStats {
   std::uint64_t store_ops = 0;
   std::uint64_t load_ops = 0;
   std::uint64_t erase_ops = 0;
-  /// Physical writes: FileStore pays payload-write + rename per store and an
-  /// unlink per erase; LogStore pays one append per group commit.
+  /// Physical writes: FileStore pays payload-write + truncate per store and
+  /// an unlink per erase; LogStore pays one append per group commit.
   std::uint64_t device_write_ops = 0;
   /// Physical reads: one per blob load (FileStore) or per segment-range
   /// read / compaction scan (LogStore).
@@ -58,7 +58,11 @@ class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
 
-  /// Writes (or atomically overwrites) the blob stored under `key`.
+  /// Writes or overwrites the blob stored under `key`. A failed store may
+  /// leave the key with no blob (kNotFound), but never serves a torn one as
+  /// stored. An overwrite need not be atomic across a crash: FileStore reads
+  /// only files it wrote itself and deletes them when destroyed; LogStore,
+  /// which reopens its segments, states its own crash contract.
   virtual util::Status store(ObjectKey key, std::span<const std::byte> bytes) = 0;
 
   /// Move-aware store: a backend that keeps whole blobs (MemStore) adopts

@@ -1,8 +1,13 @@
 #pragma once
 
 // File-based StorageBackend: one file per object key inside a spill
-// directory, with a CRC-32 trailer to detect torn or corrupted writes.
-// This is the backend the out-of-core experiments actually swap to.
+// directory, holding the payload and then its little-endian CRC-32, which
+// detects torn or corrupted writes. A store overwrites the key's file in
+// place: one vectored write, then a truncate to the new length. A store
+// that fails drops the key, so it reads kNotFound, never a torn blob. No
+// file outlives its FileStore, which reads only files it wrote itself: the
+// destructor deletes them, then the directory if nothing else is left in
+// it. This is the backend the out-of-core experiments actually swap to.
 
 #include <filesystem>
 #include <mutex>
@@ -17,6 +22,8 @@ class FileStore final : public StorageBackend {
   /// Creates (or reuses) `dir` as the spill directory. Pre-existing files in
   /// the directory are ignored; keys are tracked per FileStore instance.
   explicit FileStore(std::filesystem::path dir);
+  /// Removes this instance's spill files, then `dir` if nothing else is left
+  /// in it.
   ~FileStore() override;
 
   FileStore(const FileStore&) = delete;

@@ -58,6 +58,7 @@ LogStore::~LogStore() {
   if (options_.in_memory || options_.retain_on_close) return;
   std::error_code ec;
   for (const auto& [id, seg] : segments_) fs::remove(path_of(id), ec);
+  fs::remove(options_.dir, ec);  // only if nothing else is left in it
 }
 
 fs::path LogStore::path_of(std::uint64_t id) const {

@@ -63,8 +63,9 @@ struct LogStoreOptions {
   /// Sealed segments compacted per tick — bounds maintenance work per
   /// control-loop iteration.
   std::size_t compactions_per_tick = 1;
-  /// Keep segment files on destruction (crash-point tests reopen them);
-  /// default matches FileStore's remove-on-close behavior.
+  /// Keep segment files and `dir` on destruction (crash-point tests reopen
+  /// them); the default removes both, like FileStore (the directory only if
+  /// nothing else is left in it).
   bool retain_on_close = false;
   /// Scan pre-existing segment files on open and rebuild the index.
   bool recover_on_open = true;

@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "core/cluster.hpp"
@@ -294,6 +298,52 @@ TEST(ClusterLifecycle, DestroyAfterARunOrWithoutOneExitsCleanly) {
     ran.node(0).send(ptr, add, arg_u64(1));
     ASSERT_FALSE(ran.run().timed_out);
     EXPECT_EQ(static_cast<Box*>(ran.node(1).peek(ptr))->value, 1u);
+  }
+}
+
+TEST(ClusterLifecycle, DestroyRemovesFileAndSegmentLogSpillDirectories) {
+  // Each node of a kFile or kSegmentLog cluster spills into its own
+  // mrts-<tag>-* directory under the temp path; a destroyed cluster leaves
+  // none of them behind.
+  namespace fs = std::filesystem;
+  const auto entries_tagged = [](const std::string& tag) {
+    const std::string prefix = "mrts-" + tag + "-";
+    std::size_t n = 0;
+    for (const auto& e : fs::directory_iterator(fs::temp_directory_path())) {
+      if (e.path().filename().string().starts_with(prefix)) ++n;
+    }
+    return n;
+  };
+  for (const SpillMedium medium :
+       {SpillMedium::kFile, SpillMedium::kSegmentLog}) {
+    ClusterOptions options;
+    options.nodes = 2;
+    options.spill = medium;
+    options.spill_tag = "rmdir" + std::to_string(static_cast<int>(medium)) +
+                        "-" + std::to_string(::getpid());
+    options.runtime.ooc.memory_budget_bytes = 1u << 20;
+    options.max_run_time = std::chrono::seconds(120);
+    {
+      Cluster cluster(options);
+      const TypeId type = cluster.registry().register_type<Box>("box");
+      const HandlerId add = cluster.registry().register_handler(
+          type, [](Runtime&, MobileObject& obj, MobilePtr, NodeId,
+                   util::ByteReader& in) {
+            static_cast<Box&>(obj).value += in.read<std::uint64_t>();
+          });
+      // 32 objects of ~80 KB against a 1 MB budget: most must spill.
+      for (int i = 0; i < 32; ++i) {
+        auto [p, box] = cluster.node(0).create<Box>(type);
+        box->data.assign(10000, static_cast<std::uint64_t>(i));
+        cluster.node(0).refresh_footprint(p);
+        cluster.node(1).send(p, add, arg_u64(1));
+      }
+      ASSERT_FALSE(cluster.run().timed_out);
+      ASSERT_GT(cluster.node(0).counters().objects_spilled.load(), 0u);
+      EXPECT_EQ(entries_tagged(options.spill_tag), options.nodes);
+    }
+    EXPECT_EQ(entries_tagged(options.spill_tag), 0u)
+        << "spill medium " << static_cast<int>(medium);
   }
 }
 

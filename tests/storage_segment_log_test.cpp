@@ -404,7 +404,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LogStoreModel,
 
 // Pins the physical-op economics the ISSUE gates on: under an identical
 // keyed workload, blob-per-object FileStore pays 2 device writes per store
-// (payload write + rename) while the log engine pays 1 per group commit.
+// (payload write + truncate) while the log engine pays 1 per group commit.
 // Exact counts, not bounds — a policy regression moves them.
 TEST(LogStore, GoldenDeviceOpCountsVsFileStore) {
   constexpr std::size_t kStores = 256;

@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <future>
+#include <iterator>
 #include <set>
 
 #include "storage/eviction.hpp"
@@ -13,6 +16,7 @@
 #include "storage/latency_store.hpp"
 #include "storage/mem_store.hpp"
 #include "storage/object_store.hpp"
+#include "util/crc32.hpp"
 #include "util/rng.hpp"
 
 namespace mrts::storage {
@@ -97,18 +101,87 @@ TEST(FileStore, DetectsOnDiskCorruption) {
 }
 
 TEST(FileStore, ClearRemovesSpillFiles) {
+  namespace fs = std::filesystem;
   auto dir = make_temp_spill_dir("test");
   {
     FileStore store(dir);
     ASSERT_TRUE(store.store(1, random_blob(64, 1)).is_ok());
     ASSERT_TRUE(store.store(2, random_blob(64, 2)).is_ok());
-  }  // destructor clears
-  std::size_t files = 0;
-  for (auto it = std::filesystem::directory_iterator(dir);
-       it != std::filesystem::directory_iterator(); ++it) {
-    ++files;
+  }  // destructor clears, then removes the emptied directory
+  EXPECT_FALSE(fs::exists(dir));
+
+  // A directory that still holds a file the store did not write stays, with
+  // that file alone in it.
+  dir = make_temp_spill_dir("test");
+  std::ofstream(dir / "foreign.txt") << "not a spill file";
+  {
+    FileStore store(dir);
+    ASSERT_TRUE(store.store(1, random_blob(64, 1)).is_ok());
   }
-  EXPECT_EQ(files, 0u);
+  std::vector<fs::path> left;
+  for (const auto& e : fs::directory_iterator(dir)) left.push_back(e.path());
+  EXPECT_EQ(left, std::vector<fs::path>{dir / "foreign.txt"});
+  fs::remove_all(dir);
+}
+
+std::vector<std::byte> read_whole_file(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> chars((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::vector<std::byte> bytes(chars.size());
+  std::memcpy(bytes.data(), chars.data(), chars.size());
+  return bytes;
+}
+
+TEST(FileStore, ShrinkingOverwriteLeavesPayloadThenCrc) {
+  FileStore store(make_temp_spill_dir("test"));
+  ASSERT_TRUE(store.store(6, random_blob(1000, 6)).is_ok());
+  const auto small = random_blob(10, 66);
+  ASSERT_TRUE(store.store(6, small).is_ok());
+  // Exactly the payload, then its CRC-32 in little-endian order: nothing of
+  // the longer blob it overwrote in place is left past them.
+  const auto file = read_whole_file(store.directory() / "0000000000000006.mob");
+  ASSERT_EQ(file.size(), small.size() + 4);
+  EXPECT_TRUE(std::equal(small.begin(), small.end(), file.begin()));
+  const std::uint32_t crc = util::crc32(small);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(file[small.size() + i], static_cast<std::byte>(crc >> (8 * i)))
+        << "trailer byte " << i;
+  }
+  EXPECT_EQ(store.load(6).value(), small);
+  EXPECT_EQ(store.stored_bytes(), small.size());
+}
+
+TEST(FileStore, FailedOverwriteLeavesKeyAbsent) {
+  namespace fs = std::filesystem;
+  FileStore store(make_temp_spill_dir("test"));
+  ASSERT_TRUE(store.store(4, random_blob(300, 4)).is_ok());
+  ASSERT_TRUE(store.store(5, random_blob(200, 5)).is_ok());
+  // A directory in place of key 4's file makes the open for writing fail,
+  // even for root, which permission bits would not stop.
+  const auto path = store.directory() / "0000000000000004.mob";
+  ASSERT_TRUE(fs::remove(path));
+  ASSERT_TRUE(fs::create_directory(path));
+
+  EXPECT_EQ(store.store(4, random_blob(100, 44)).code(),
+            util::StatusCode::kIoError);
+  // The old blob may be partly overwritten, so the key must not read as
+  // stored: it is gone, and the other key is untouched.
+  EXPECT_FALSE(store.contains(4));
+  EXPECT_EQ(store.load(4).status().code(), util::StatusCode::kNotFound);
+  EXPECT_EQ(store.count(), 1u);
+  EXPECT_EQ(store.stored_bytes(), 200u);
+  EXPECT_EQ(store.load(5).value(), random_blob(200, 5));
+  for (const auto& e : fs::directory_iterator(store.directory())) {
+    EXPECT_NE(e.path().extension(), ".tmp") << e.path();
+  }
+
+  // The key can be stored again once its path is free.
+  std::error_code ec;
+  fs::remove(path, ec);
+  ASSERT_TRUE(store.store(4, random_blob(100, 44)).is_ok());
+  EXPECT_EQ(store.load(4).value(), random_blob(100, 44));
+  EXPECT_EQ(store.stored_bytes(), 300u);
 }
 
 TEST(LatencyStore, AddsModeledDelay) {

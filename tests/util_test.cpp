@@ -9,6 +9,7 @@
 
 #include "util/archive.hpp"
 #include "util/crc32.hpp"
+#include "util/crc32_detail.hpp"
 #include "util/format.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -209,24 +210,53 @@ std::uint32_t reference_crc32(std::span<const std::byte> bytes) {
 }
 
 TEST(Crc32, MatchesBitwiseReferenceAtEveryLengthOffsetAndSplit) {
-  // Covers the bytewise tail alone (< 8 bytes), every word/tail mix, and
-  // unaligned starts; chaining through `seed` at every split point checks
-  // that a continued checksum equals the one-shot one.
-  std::vector<std::byte> buf(4096 + 7 + 8);
+  // Both kernels: util::crc32 as dispatched (carry-less folding of the
+  // 16-byte-multiple prefix of inputs of 64 bytes or more, where the CPU has
+  // it) and the portable slicing-by-8 loop, so a host that takes the fast
+  // path still checks the fallback. Every length up to 1,100 covers the
+  // bytewise tail alone, every word/tail mix, the 64-byte threshold and the
+  // 16-byte fold loop; the long lengths cover many 64-byte lane steps; the
+  // offsets give unaligned starts. Chaining through `seed` checks that a
+  // continued checksum equals the one-shot one: at every split of a short
+  // input, and elsewhere at 63, 64, 65 and multiples of 16.
+  constexpr std::size_t kLong = 620000;
+  std::vector<std::byte> buf(kLong + 7);
   Rng rng(11);
   for (auto& b : buf) b = static_cast<std::byte>(rng() & 0xFF);
-  std::vector<std::size_t> lengths(65);
+  std::vector<std::size_t> lengths(1101);
   std::iota(lengths.begin(), lengths.end(), std::size_t{0});
-  lengths.push_back(4096 + 7);
+  for (std::size_t extra = 0; extra <= 17; ++extra) {
+    lengths.push_back(65536 + extra);
+  }
+  lengths.push_back(kLong);
+  const auto splits_of = [](std::size_t len) {
+    std::vector<std::size_t> splits;
+    for (std::size_t s = 0; s <= len; ++s) {
+      const bool near_threshold = s >= 63 && s <= 65;
+      const bool every = len <= 80 || (len <= 1100 && s % 16 == 0);
+      const bool sparse = s % 16 == 0 && (s <= 128 || s + 128 >= len ||
+                                          s == (len / 2 & ~std::size_t{15}));
+      if (every || near_threshold || sparse) splits.push_back(s);
+    }
+    return splits;
+  };
+  using Kernel = std::uint32_t (*)(std::span<const std::byte>, std::uint32_t);
+  const std::pair<const char*, Kernel> kernels[] = {
+      {"dispatched", &crc32}, {"slicing-by-8", &detail::crc32_slicing_by_8}};
   for (std::size_t offset = 0; offset < 8; ++offset) {
     for (std::size_t len : lengths) {
       const auto data = std::span<const std::byte>(buf).subspan(offset, len);
       const std::uint32_t want = reference_crc32(data);
-      ASSERT_EQ(crc32(data), want) << "offset " << offset << " len " << len;
-      for (std::size_t split = 0; split <= len; ++split) {
-        const std::uint32_t head = crc32(data.first(split));
-        ASSERT_EQ(crc32(data.subspan(split), head), want)
-            << "offset " << offset << " len " << len << " split " << split;
+      const auto splits = splits_of(len);
+      for (const auto& [name, kernel] : kernels) {
+        ASSERT_EQ(kernel(data, 0), want)
+            << name << " offset " << offset << " len " << len;
+        for (std::size_t split : splits) {
+          const std::uint32_t head = kernel(data.first(split), 0);
+          ASSERT_EQ(kernel(data.subspan(split), head), want)
+              << name << " offset " << offset << " len " << len << " split "
+              << split;
+        }
       }
     }
   }
