@@ -8,7 +8,8 @@
 namespace mrts::core {
 namespace {
 
-constexpr std::uint64_t kMagic = 0x4D52545343503031ull;  // "MRTSCP01"
+// "MRTSCP02": object records take the install-frame layout (with an epoch).
+constexpr std::uint64_t kMagic = 0x4D52545343503032ull;
 
 util::Status write_sealed_file(const std::filesystem::path& path,
                                std::span<const std::byte> bytes) {
@@ -99,6 +100,9 @@ util::Status restore_cluster(Cluster& cluster,
                              const std::filesystem::path& dir) {
   auto manifest = read_sealed_file(dir / "manifest");
   if (!manifest.is_ok()) return manifest.status();
+  if (manifest.value().size() != 3 * sizeof(std::uint64_t)) {
+    return {util::StatusCode::kCorruption, "malformed checkpoint manifest"};
+  }
   {
     util::ByteReader r(manifest.value());
     if (r.read<std::uint64_t>() != kMagic) {
@@ -113,24 +117,24 @@ util::Status restore_cluster(Cluster& cluster,
               "checkpoint type count does not match the registry"};
     }
   }
-  // Two-phase: read and CRC-validate every node image before installing a
-  // single object, so a truncated or corrupt file leaves the whole cluster
-  // unchanged (no partial restore). Runtime::restore_from validates its
-  // image again before installing, covering corruption the file CRC missed.
-  std::vector<std::vector<std::byte>> images;
+  // Two-phase: read, CRC-check and parse every node image before installing
+  // a single object, so a truncated or corrupt file — or an image damaged
+  // below its file CRC — leaves the whole cluster unchanged.
+  std::vector<Runtime::CheckpointImage> images;
   images.reserve(cluster.size());
   for (std::size_t n = 0; n < cluster.size(); ++n) {
     auto bytes = read_sealed_file(node_file(dir, static_cast<NodeId>(n)));
     if (!bytes.is_ok()) return bytes.status();
-    images.push_back(std::move(bytes).value());
+    util::ByteReader r(bytes.value());
+    auto image = cluster.node(static_cast<NodeId>(n)).parse_checkpoint(r);
+    if (!image.is_ok()) return image.status();
+    images.push_back(std::move(image).value());
   }
-  std::vector<std::pair<MobilePtr, NodeId>> locations;
   for (std::size_t n = 0; n < cluster.size(); ++n) {
-    Runtime& rt = cluster.node(static_cast<NodeId>(n));
-    util::ByteReader r(images[n]);
-    if (auto s = rt.restore_from(r); !s.is_ok()) return s;
+    cluster.node(static_cast<NodeId>(n)).restore(std::move(images[n]));
   }
   // Teach every home node where its migrated objects live now.
+  std::vector<std::pair<MobilePtr, NodeId>> locations;
   for (std::size_t n = 0; n < cluster.size(); ++n) {
     Runtime& rt = cluster.node(static_cast<NodeId>(n));
     rt.for_each_local_object([&](MobilePtr ptr) {

@@ -157,24 +157,146 @@ std::size_t Runtime::local_objects() const {
 }
 
 // --------------------------------------------------------------------------
+// Residency changes and object images
+
+namespace {
+
+// Images on the wire and steal-rollback images never touched a disk: a bad
+// seal there is a broken transport or claim path, not a recoverable storage
+// fault, so it fails fast.
+std::span<const std::byte> intact_payload(std::span<const std::byte> blob,
+                                          MobilePtr ptr) {
+  auto payload = unseal_blob(blob);
+  if (!payload.is_ok()) {
+    throw std::runtime_error("mrts: object image for " + to_string(ptr) +
+                             " rejected: " + payload.status().to_string());
+  }
+  return payload.value();
+}
+
+}  // namespace
+
+void Runtime::install(MobilePtr ptr, Entry& e,
+                      std::unique_ptr<MobileObject> obj,
+                      std::size_t footprint) {
+  e.obj = std::move(obj);
+  e.state = Residency::kInCore;
+  e.footprint = footprint;
+  e.load_wanted = false;  // whoever asked for it in core has it now
+  ooc_.on_install(ptr.id, footprint);
+  e.obj->on_register(*this, ptr);
+}
+
+template <typename Capture>
+void Runtime::leave_core(MobilePtr ptr, Entry& e, Capture&& capture) {
+  e.obj->on_unregister(*this);
+  capture();
+  e.obj.reset();
+  ooc_.on_remove(ptr.id);
+  e.in_ready_list = false;  // stale ready entries skip on state check
+}
+
+void Runtime::install_image(ObjectImage& img,
+                            std::unique_ptr<MobileObject> obj) {
+  const std::size_t fp = obj->footprint_bytes();
+  make_room(fp);
+  auto [it, inserted] = directory_.try_emplace(img.ptr, Entry{});
+  Entry& e = it->second;
+  assert(e.state == Residency::kRemote || inserted);
+  e.type = img.type;
+  e.epoch = img.epoch;
+  e.priority = img.priority;
+  e.queue = std::move(img.queue);
+  e.load_queued = false;
+  // Blob identity never survives a move (a migration's sender erased its
+  // copy; a restored object has none yet).
+  forget_blob(img.ptr, e, /*erase_stored=*/false);
+  install(img.ptr, e, std::move(obj), fp);
+  queued_messages_.fetch_add(e.queue.size(), std::memory_order_acq_rel);
+  bump_activity();
+  if (!e.queue.empty()) push_ready(e, img.ptr);
+}
+
+void Runtime::forget_blob(MobilePtr ptr, Entry& e, bool erase_stored) {
+  if (erase_stored) store_.erase(ptr.id);
+  ooc_.on_spill_erased(ptr.id);
+  e.blob_bytes = 0;
+  e.blob_crc = 0;
+  e.stored_gen = 0;
+}
+
+std::span<const std::byte> Runtime::write_image(
+    util::ByteWriter& w, MobilePtr ptr, const Entry& e, std::uint64_t epoch,
+    std::span<const std::byte> sealed) {
+  w.write(ptr.id);
+  w.write(e.type);
+  w.write(epoch);
+  w.write(static_cast<std::int32_t>(e.priority));
+  w.write<std::uint64_t>(e.queue.size());
+  for (const auto& msg : e.queue) {
+    w.write(msg.handler);
+    w.write(msg.src);
+    w.write_vector(msg.payload);
+  }
+  const std::size_t blob_at = w.size() + sizeof(std::uint64_t);
+  if (!sealed.empty()) {
+    w.write<std::uint64_t>(sealed.size());
+    w.write_bytes(sealed);
+  } else {
+    assert(e.obj != nullptr);
+    obs::ChargedSpan span(obs::Cat::kComp, "migrate.serialize",
+                          static_cast<std::uint16_t>(node_),
+                          &counters_.comp_time);
+    // Seal-in-place: the object serializes at its final offset in the image
+    // and the CRC trailer is computed over the written span — the blob is
+    // never staged in a separate vector.
+    write_sealed(w, [&](util::ByteWriter& body) { e.obj->serialize(body); });
+  }
+  return w.bytes().subspan(blob_at);
+}
+
+Runtime::ObjectImage Runtime::read_image(util::ByteReader& in) {
+  ObjectImage img;
+  img.ptr = MobilePtr{in.read<std::uint64_t>()};
+  img.type = in.read<TypeId>();
+  img.epoch = in.read<std::uint64_t>();
+  img.priority = in.read<std::int32_t>();
+  const auto queue_len = in.read<std::uint64_t>();
+  for (std::uint64_t i = 0; i < queue_len; ++i) {
+    QueuedMessage msg;
+    msg.handler = in.read<HandlerId>();
+    msg.src = in.read<NodeId>();
+    msg.payload = in.read_vector<std::byte>();
+    img.queue.push_back(std::move(msg));
+  }
+  img.blob = in.read_byte_span();
+  return img;
+}
+
+std::unique_ptr<MobileObject> Runtime::revive(
+    TypeId type, std::span<const std::byte> payload, const char* span_name) {
+  auto obj = registry_.create(type);
+  obs::ChargedSpan span(obs::Cat::kComp, span_name,
+                        static_cast<std::uint16_t>(node_),
+                        &counters_.comp_time);
+  util::ByteReader in(payload);
+  obj->deserialize(in);
+  return obj;
+}
+
+// --------------------------------------------------------------------------
 // Object lifetime
 
 MobilePtr Runtime::adopt(TypeId type, std::unique_ptr<MobileObject> obj) {
   assert(obj != nullptr);
   const MobilePtr ptr = MobilePtr::make(node_, next_seq_++);
   const std::size_t fp = obj->footprint_bytes();
-  while (ooc_.hard_pressure(fp) && spill_one_victim()) {
-  }
-  Entry e;
-  e.state = Residency::kInCore;
-  e.type = type;
-  e.obj = std::move(obj);
-  e.footprint = fp;
-  e.epoch = 1;
-  auto [it, inserted] = directory_.emplace(ptr, std::move(e));
+  make_room(fp);
+  auto [it, inserted] = directory_.emplace(ptr, Entry{});
   assert(inserted);
-  ooc_.on_install(ptr.id, fp);
-  it->second.obj->on_register(*this, ptr);
+  it->second.type = type;
+  it->second.epoch = 1;
+  install(ptr, it->second, std::move(obj), fp);
   counters_.objects_created.fetch_add(1, std::memory_order_relaxed);
   bump_activity();
   return ptr;
@@ -192,13 +314,10 @@ void Runtime::destroy(MobilePtr ptr) {
     throw std::logic_error(
         "mrts: destroy() during a steal speculation window");
   }
-  if (e.state == Residency::kInCore) {
-    e.obj->on_unregister(*this);
-    ooc_.on_remove(ptr.id);
-  }
+  if (e.state == Residency::kInCore) leave_core(ptr, e, [] {});
   if (e.state == Residency::kOnDisk || e.blob_bytes > 0) {
-    store_.erase(ptr.id);  // ignore kNotFound for in-flight states
-    ooc_.on_spill_erased(ptr.id);
+    // kNotFound is ignored for in-flight states.
+    forget_blob(ptr, e, /*erase_stored=*/true);
   }
   if (options_.recovery.checkpoint_store) {
     options_.recovery.checkpoint_store->erase(ptr.id);  // drop stale copy
@@ -348,11 +467,20 @@ void Runtime::enqueue_local(Entry& e, MobilePtr ptr, QueuedMessage msg) {
   if (e.state == Residency::kInCore) {
     ooc_.on_access(ptr.id);
     push_ready(e, ptr);
-  } else if (e.state == Residency::kOnDisk && !e.load_queued) {
-    e.load_queued = true;
-    load_queue_.push_back(ptr);
+  } else {
+    // kLoading / kStoring: the completion path re-examines the queue.
+    want_load(ptr, e);
   }
-  // kLoading / kStoring: the completion path re-examines the queue.
+}
+
+bool Runtime::want_load(MobilePtr ptr, Entry& e) {
+  if (e.state != Residency::kOnDisk || e.load_queued ||
+      (e.queue.empty() && !e.load_wanted)) {
+    return false;
+  }
+  e.load_queued = true;
+  load_queue_.push_back(ptr);
+  return true;
 }
 
 void Runtime::push_ready(Entry& e, MobilePtr ptr) {
@@ -364,24 +492,12 @@ void Runtime::push_ready(Entry& e, MobilePtr ptr) {
 
 bool Runtime::try_deliver_inline(MobilePtr dst, HandlerId handler,
                                  std::span<const std::byte> payload) {
-  if (!options_.enable_inline_delivery) return false;
   Entry* e = find_entry(dst);
   if (e == nullptr || e->state != Residency::kInCore || e->running) {
     return false;
   }
   counters_.inline_deliveries.fetch_add(1, std::memory_order_relaxed);
-  ooc_.on_access(dst.id);
-  e->running = true;
-  {
-    obs::ChargedSpan span(obs::Cat::kComp, "handler.inline",
-                          static_cast<std::uint16_t>(node_),
-                          &counters_.comp_time);
-    util::ByteReader reader(payload);
-    registry_.handler(e->type, handler)(*this, *e->obj, dst, node_, reader);
-  }
-  e->running = false;
-  counters_.messages_executed.fetch_add(1, std::memory_order_relaxed);
-  if (!registry_.handler_read_only(e->type, handler)) e->obj->mark_dirty();
+  run_handler(dst, *e, handler, node_, payload, "handler.inline");
   after_handler_accounting(dst, *e);
   return true;
 }
@@ -399,10 +515,7 @@ void Runtime::lock_in_core(MobilePtr ptr) {
   if (e.poisoned) return;  // nothing loadable; health says kPoisoned
   if (e.state == Residency::kOnDisk || e.state == Residency::kStoring) {
     e.load_wanted = true;
-    if (e.state == Residency::kOnDisk && !e.load_queued) {
-      e.load_queued = true;
-      load_queue_.push_back(ptr);
-    }
+    want_load(ptr, e);
     bump_activity();
   }
 }
@@ -423,10 +536,7 @@ void Runtime::prefetch(MobilePtr ptr) {
   if (e == nullptr || e->state == Residency::kRemote || e->poisoned) return;
   if (e->state == Residency::kOnDisk || e->state == Residency::kStoring) {
     e->load_wanted = true;
-    if (e->state == Residency::kOnDisk && !e->load_queued) {
-      e->load_queued = true;
-      load_queue_.push_back(ptr);
-    }
+    want_load(ptr, *e);
     bump_activity();
   }
 }
@@ -447,8 +557,7 @@ void Runtime::set_memory_budget(std::size_t bytes) {
   // pressure synchronously, then let background (soft) eviction run ahead
   // within the write-behind budget. Anything still above the soft threshold
   // afterwards drains through the normal progress_once() path.
-  while (ooc_.hard_pressure(0) && spill_one_victim()) {
-  }
+  make_room(0);
   while (ooc_.soft_pressure() && write_behind_has_budget() &&
          spill_one_victim(/*allow_relaxed=*/false)) {
   }
@@ -496,10 +605,7 @@ void Runtime::migrate(MobilePtr ptr, NodeId dst) {
   }
   if (e.state == Residency::kOnDisk || e.state == Residency::kStoring) {
     e.load_wanted = true;
-    if (e.state == Residency::kOnDisk && !e.load_queued) {
-      e.load_queued = true;
-      load_queue_.push_back(ptr);
-    }
+    want_load(ptr, e);
   }
   // Coalesce: a repeated migrate() while one is pending just retargets it
   // (two pins for one object could never both see lock_count == 1 and
@@ -519,122 +625,36 @@ void Runtime::migrate(MobilePtr ptr, NodeId dst) {
   bump_activity();
 }
 
-std::vector<std::byte> Runtime::make_install_frame(MobilePtr ptr, Entry& e) {
-  util::ByteWriter w(e.footprint + 256);
-  write_install_frame(w, ptr, e);
-  return w.take();
-}
-
-void Runtime::write_install_frame(util::ByteWriter& w, MobilePtr ptr,
-                                  Entry& e) {
-  assert(e.state == Residency::kInCore && e.obj != nullptr);
-  w.write(ptr.id);
-  w.write(e.type);
-  w.write<std::uint64_t>(e.epoch + 1);
-  w.write(static_cast<std::int32_t>(e.priority));
-  w.write<std::uint64_t>(e.queue.size());
-  for (auto& msg : e.queue) {
-    w.write(msg.handler);
-    w.write(msg.src);
-    w.write_vector(msg.payload);
-  }
-  {
-    obs::ChargedSpan span(obs::Cat::kComp, "migrate.serialize",
-                          static_cast<std::uint16_t>(node_),
-                          &counters_.comp_time);
-    e.obj->on_unregister(*this);
-    // Seal-in-place: the object serializes at its final offset in the frame
-    // and the CRC trailer is computed over the written span — the blob is
-    // never staged in a separate vector.
-    write_sealed(w, [&](util::ByteWriter& body) { e.obj->serialize(body); });
-  }
-}
-
 void Runtime::do_migrate(MobilePtr ptr, Entry& e, NodeId dst) {
   assert(e.state == Residency::kInCore && !e.running && e.lock_count == 0);
-  // Serializes synchronously into the outgoing frame (the reliable link's
-  // open batch, or the raw wire vector) before the entry mutations below.
-  net_send_with(dst, am_install_id_, e.footprint + 256,
-                [&](util::ByteWriter& w) { write_install_frame(w, ptr, e); });
-  e.obj.reset();
-  ooc_.on_remove(ptr.id);
-  if (e.blob_bytes > 0) {
-    store_.erase(ptr.id);  // stale spill copy must not outlive the move
-    ooc_.on_spill_erased(ptr.id);
-    e.blob_bytes = 0;
-    e.blob_crc = 0;
-    e.stored_gen = 0;
-  }
+  // The image is serialized synchronously into the outgoing frame (the
+  // reliable link's open batch, or the raw wire vector) before the object
+  // is dropped.
+  leave_core(ptr, e, [&] {
+    net_send_with(dst, am_install_id_, e.footprint + 256,
+                  [&](util::ByteWriter& w) {
+                    write_image(w, ptr, e, e.epoch + 1);
+                  });
+  });
+  // A stale spill copy must not outlive the move.
+  if (e.blob_bytes > 0) forget_blob(ptr, e, /*erase_stored=*/true);
   e.state = Residency::kRemote;
   e.last_known = dst;
   e.epoch += 1;  // matches the epoch written into the install message
   sub_queued(e.queue.size());
   e.queue.clear();
-  e.in_ready_list = false;  // stale ready entries are skipped by state check
   counters_.migrations_out.fetch_add(1, std::memory_order_relaxed);
   obs::TraceRecorder::global().instant(obs::Cat::kOther, "migrate.out",
                                        static_cast<std::uint16_t>(node_), dst);
 }
 
 void Runtime::am_install(NodeId src, util::ByteReader& in) {
-  const MobilePtr ptr{in.read<std::uint64_t>()};
-  const auto type = in.read<TypeId>();
-  const auto epoch = in.read<std::uint64_t>();
-  const auto priority = in.read<std::int32_t>();
-  const auto queue_len = in.read<std::uint64_t>();
-  std::deque<QueuedMessage> queue;
-  for (std::uint64_t i = 0; i < queue_len; ++i) {
-    QueuedMessage msg;
-    msg.handler = in.read<HandlerId>();
-    msg.src = in.read<NodeId>();
-    msg.payload = in.read_vector<std::byte>();
-    queue.push_back(std::move(msg));
-  }
-  auto blob = in.read_vector<std::byte>();
-
-  auto obj = registry_.create(type);
-  {
-    obs::ChargedSpan span(obs::Cat::kComp, "migrate.deserialize",
-                          static_cast<std::uint16_t>(node_),
-                          &counters_.comp_time);
-    auto payload = unseal_blob(blob);
-    if (!payload.is_ok()) {
-      // A bad seal on the wire path is a broken transport, not a recoverable
-      // storage fault: fail fast.
-      throw std::runtime_error("mrts: migration blob for " + to_string(ptr) +
-                               " rejected: " + payload.status().to_string());
-    }
-    util::ByteReader body(payload.value());
-    obj->deserialize(body);
-  }
-  const std::size_t fp = obj->footprint_bytes();
-  while (ooc_.hard_pressure(fp) && spill_one_victim()) {
-  }
-
-  auto [it, inserted] = directory_.try_emplace(ptr, Entry{});
-  Entry& e = it->second;
-  assert(e.state == Residency::kRemote || inserted);
-  e.state = Residency::kInCore;
-  e.type = type;
-  e.obj = std::move(obj);
-  e.priority = priority;
-  e.footprint = fp;
-  e.epoch = epoch;
-  e.queue = std::move(queue);
-  e.load_wanted = false;
-  e.load_queued = false;
-  // Blob identity never survives a migration (the sender erased its copy).
-  e.blob_bytes = 0;
-  e.blob_crc = 0;
-  e.stored_gen = 0;
-  ooc_.on_install(ptr.id, fp);
-  e.obj->on_register(*this, ptr);
+  ObjectImage img = read_image(in);
+  install_image(img, revive(img.type, intact_payload(img.blob, img.ptr),
+                            "migrate.deserialize"));
   counters_.migrations_in.fetch_add(1, std::memory_order_relaxed);
   obs::TraceRecorder::global().instant(obs::Cat::kOther, "migrate.in",
                                        static_cast<std::uint16_t>(node_), src);
-  queued_messages_.fetch_add(e.queue.size(), std::memory_order_acq_rel);
-  bump_activity();
-  if (!e.queue.empty()) push_ready(e, ptr);
 }
 
 void Runtime::am_migrate_request(NodeId /*src*/, util::ByteReader& in) {
@@ -845,11 +865,7 @@ bool Runtime::advance_multicasts() {
       if (e->state == Residency::kOnDisk || e->state == Residency::kStoring) {
         all_ready = false;
         e->load_wanted = true;
-        if (e->state == Residency::kOnDisk && !e->load_queued) {
-          e->load_queued = true;
-          load_queue_.push_back(ptr);
-          did = true;
-        }
+        did |= want_load(ptr, *e);
         continue;
       }
       if (e->state != Residency::kInCore || e->running) {
@@ -863,57 +879,39 @@ bool Runtime::advance_multicasts() {
         all_ready = false;  // reserved by an earlier op; wait for release
       }
     }
-    if (dropped) {
-      for (MobilePtr ptr : op.targets) {
-        if (Entry* e = find_entry(ptr);
-            e != nullptr && e->collect_for == op.id) {
-          e->collect_for = 0;
-        }
-      }
-      multicasts_.erase(multicasts_.begin() + static_cast<std::ptrdiff_t>(i));
-      did = true;
-      continue;
-    }
-    if (!all_ready) {
+    if (!dropped && !all_ready) {
       ++i;
       continue;
     }
-    // Every target is local, in-core, and reserved for this op: deliver.
-    {
+    // The op is finished. It leaves the list before any handler runs:
+    // handlers may post multicasts, which grow multicasts_.
+    const MulticastOp done = std::move(op);
+    multicasts_.erase(multicasts_.begin() + static_cast<std::ptrdiff_t>(i));
+    did = true;
+    if (!dropped) {
+      // Every target is local, in-core, and reserved for this op: deliver.
       // Collect latency: local collection start to all-targets-ready, as
       // observed by the delivering (coordinator) node.
       obs::TraceRecorder& tr = obs::TraceRecorder::global();
       if (tr.enabled()) {
         const std::uint64_t now = tr.now();
         tr.complete(obs::Cat::kComm, "multicast.collect",
-                    static_cast<std::uint16_t>(node_), op.start_ts,
-                    now - std::min(op.start_ts, now), op.targets.size());
+                    static_cast<std::uint16_t>(node_), done.start_ts,
+                    now - std::min(done.start_ts, now), done.targets.size());
+      }
+      for (std::uint32_t t = 0; t < done.deliver_count; ++t) {
+        Entry& e = entry_of(done.targets[t]);
+        run_handler(done.targets[t], e, done.handler, done.origin_src,
+                    done.payload, "handler.multicast");
+        after_handler_accounting(done.targets[t], e);
       }
     }
-    for (std::uint32_t t = 0; t < op.deliver_count; ++t) {
-      Entry& e = entry_of(op.targets[t]);
-      ooc_.on_access(op.targets[t].id);
-      e.running = true;
-      {
-        obs::ChargedSpan span(obs::Cat::kComp, "handler.multicast",
-                              static_cast<std::uint16_t>(node_),
-                              &counters_.comp_time);
-        util::ByteReader reader(op.payload);
-        registry_.handler(e.type, op.handler)(*this, *e.obj, op.targets[t],
-                                              op.origin_src, reader);
-      }
-      e.running = false;
-      counters_.messages_executed.fetch_add(1, std::memory_order_relaxed);
-      if (!registry_.handler_read_only(e.type, op.handler)) e.obj->mark_dirty();
-      after_handler_accounting(op.targets[t], e);
-    }
-    for (MobilePtr ptr : op.targets) {
-      if (Entry* e = find_entry(ptr); e != nullptr && e->collect_for == op.id) {
+    for (MobilePtr ptr : done.targets) {
+      if (Entry* e = find_entry(ptr);
+          e != nullptr && e->collect_for == done.id) {
         e->collect_for = 0;
       }
     }
-    multicasts_.erase(multicasts_.begin() + static_cast<std::ptrdiff_t>(i));
-    did = true;
   }
   return did;
 }
@@ -958,19 +956,34 @@ bool Runtime::spill_one_victim(bool allow_relaxed) {
 
 void Runtime::spill(MobilePtr ptr, Entry& e) {
   assert(evictable_relaxed(e));
-  // Clean-spill elision: the blob left on the backend by the last
-  // successful spill still serializes exactly this dirty generation, so
-  // the eviction needs no serialize and no store — just drop the in-core
-  // copy and flip straight to kOnDisk. blob_bytes/blob_crc are left
-  // untouched: the recovery ladder's checkpoint rung keeps comparing
-  // against the last-spill CRC exactly as before.
-  if (options_.spill_elision && e.blob_bytes > 0 &&
-      e.stored_gen == e.obj->dirty_generation()) {
-    e.obj->on_unregister(*this);
-    e.obj.reset();
-    ooc_.on_remove(ptr.id);
+  // The generation this spill captures; recorded on the entry only when the
+  // store completes OK (a failed write-behind store must not leave the
+  // entry claiming a CRC for bytes that never landed).
+  std::uint64_t spill_gen = 0;
+  bool elided = false;
+  std::vector<std::byte> blob;
+  leave_core(ptr, e, [&] {
+    spill_gen = e.obj->dirty_generation();
+    // Clean-spill elision: the blob left on the backend by the last
+    // successful spill still serializes exactly this dirty generation, so
+    // the eviction needs no serialize and no store — just drop the in-core
+    // copy and flip straight to kOnDisk. blob_bytes/blob_crc are left
+    // untouched: the recovery ladder's checkpoint rung keeps comparing
+    // against the last-spill CRC exactly as before.
+    elided = options_.spill_elision && e.blob_bytes > 0 &&
+             e.stored_gen == spill_gen;
+    if (elided) return;
+    util::ByteWriter body(e.footprint + 64);
+    {
+      obs::ChargedSpan span(obs::Cat::kComp, "spill.serialize",
+                            static_cast<std::uint16_t>(node_),
+                            &counters_.comp_time);
+      e.obj->serialize(body);
+    }
+    blob = seal_blob(std::move(body));
+  });
+  if (elided) {
     e.state = Residency::kOnDisk;
-    e.in_ready_list = false;  // stale ready entries skip on state check
     counters_.spills_elided.fetch_add(1, std::memory_order_relaxed);
     counters_.bytes_spill_elided.fetch_add(e.blob_bytes,
                                            std::memory_order_relaxed);
@@ -980,29 +993,10 @@ void Runtime::spill(MobilePtr ptr, Entry& e) {
                                          e.blob_bytes);
     // No store completion will arrive, so requeue any pending work here
     // (the relaxed-eviction escape hatch can evict queued objects).
-    if ((!e.queue.empty() || e.load_wanted) && !e.load_queued) {
-      e.load_queued = true;
-      load_queue_.push_back(ptr);
-    }
+    want_load(ptr, e);
     return;
   }
-  // The generation this spill captures; recorded on the entry only when the
-  // store completes OK (a failed write-behind store must not leave the
-  // entry claiming a CRC for bytes that never landed).
-  const std::uint64_t spill_gen = e.obj->dirty_generation();
-  util::ByteWriter body(e.footprint + 64);
-  {
-    obs::ChargedSpan span(obs::Cat::kComp, "spill.serialize",
-                          static_cast<std::uint16_t>(node_),
-                          &counters_.comp_time);
-    e.obj->on_unregister(*this);
-    e.obj->serialize(body);
-  }
-  auto blob = seal_blob(std::move(body));
-  e.obj.reset();
-  ooc_.on_remove(ptr.id);
   e.state = Residency::kStoring;
-  e.in_ready_list = false;  // stale ready entries skip on state check
   e.blob_bytes = blob.size();
   // Content identity of this spill: a reload must produce exactly these
   // bytes. Catches a stale replica serving an older (seal-valid) version.
@@ -1050,9 +1044,7 @@ bool Runtime::schedule_loads() {
       // batch drains the excess as soon as queues empty (and a workload
       // that pins more than fits "runs out of memory" exactly as the
       // paper warns, rather than deadlocking).
-      while (ooc_.hard_pressure(e->blob_bytes) &&
-             spill_one_victim(/*allow_relaxed=*/false)) {
-      }
+      make_room(e->blob_bytes, /*strict=*/true);
       start_load(*e, ptr);
       did = true;
     }
@@ -1137,10 +1129,7 @@ bool Runtime::drain_completions() {
           // The blob landed: only now does the entry claim its generation
           // (and keep the CRC recorded at serialize time honest).
           e->stored_gen = c.spill_gen;
-          if ((!e->queue.empty() || e->load_wanted) && !e->load_queued) {
-            e->load_queued = true;
-            load_queue_.push_back(ptr);
-          }
+          want_load(ptr, *e);
         }
         continue;
       }
@@ -1165,34 +1154,17 @@ bool Runtime::blob_matches(const Entry& e,
 void Runtime::finish_load(Entry& e, MobilePtr ptr,
                           std::vector<std::byte> bytes) {
   assert(e.state == Residency::kLoading);
-  auto obj = registry_.create(e.type);
-  {
-    obs::ChargedSpan span(obs::Cat::kComp, "load.deserialize",
-                          static_cast<std::uint16_t>(node_),
-                          &counters_.comp_time);
-    util::ByteReader reader(verified_payload(bytes));
-    obj->deserialize(reader);
-  }
-  e.obj = std::move(obj);
-  e.state = Residency::kInCore;
-  e.footprint = e.obj->footprint_bytes();
-  e.load_wanted = false;
+  auto obj = revive(e.type, verified_payload(bytes), "load.deserialize");
   // The fresh instance is byte-for-byte what the blob serializes: align its
   // dirty generation with the blob's so a clean evict elides the re-store.
-  e.obj->sync_generation(e.stored_gen);
-  ooc_.on_install(ptr.id, e.footprint);
-  e.obj->on_register(*this, ptr);
+  obj->sync_generation(e.stored_gen);
+  const std::size_t fp = obj->footprint_bytes();
+  install(ptr, e, std::move(obj), fp);
   // With elision enabled the blob (and its recorded identity) stays on the
   // backend: if the object is evicted again unmodified, spill() skips
   // serialize+store entirely. Forced-spill mode keeps the pre-elision
   // behavior of dropping the blob on reload.
-  if (!options_.spill_elision) {
-    store_.erase(ptr.id);
-    ooc_.on_spill_erased(ptr.id);
-    e.blob_bytes = 0;
-    e.blob_crc = 0;
-    e.stored_gen = 0;
-  }
+  if (!options_.spill_elision) forget_blob(ptr, e, /*erase_stored=*/true);
   counters_.objects_loaded.fetch_add(1, std::memory_order_relaxed);
   counters_.bytes_loaded.fetch_add(bytes.size(), std::memory_order_relaxed);
   if (!e.queue.empty()) push_ready(e, ptr);
@@ -1202,8 +1174,7 @@ void Runtime::finish_load(Entry& e, MobilePtr ptr,
   // only: the relaxed pass could evict the very object we just loaded
   // (its queue is non-empty) before its messages ever run — with a budget
   // of about one object, that livelocks the load/evict cycle.
-  while (ooc_.hard_pressure(0) && spill_one_victim(/*allow_relaxed=*/false)) {
-  }
+  make_room(0, /*strict=*/true);
 }
 
 // --------------------------------------------------------------------------
@@ -1256,25 +1227,12 @@ void Runtime::recover_failed_store(MobilePtr ptr, Entry& e,
     poison_object(ptr, e, FailureOp::kStore, cause);
     return;
   }
-  auto obj = registry_.create(e.type);
-  {
-    obs::ChargedSpan span(obs::Cat::kComp, "spill.reinstall",
-                          static_cast<std::uint16_t>(node_),
-                          &counters_.comp_time);
-    util::ByteReader reader(verified_payload(bytes));
-    obj->deserialize(reader);
-  }
-  e.obj = std::move(obj);
-  e.state = Residency::kInCore;
-  e.footprint = e.obj->footprint_bytes();
+  auto obj = revive(e.type, verified_payload(bytes), "spill.reinstall");
   // The store never landed: the entry must not claim a blob, a CRC, or a
   // stored generation for bytes that are not on the backend.
-  e.blob_bytes = 0;
-  e.blob_crc = 0;
-  e.stored_gen = 0;
-  ooc_.on_spill_erased(ptr.id);
-  ooc_.on_install(ptr.id, e.footprint);
-  e.obj->on_register(*this, ptr);
+  forget_blob(ptr, e, /*erase_stored=*/false);
+  const std::size_t fp = obj->footprint_bytes();
+  install(ptr, e, std::move(obj), fp);
   counters_.spills_reinstalled.fetch_add(1, std::memory_order_relaxed);
   ledger_.add(FailureRecord{ptr, node_, FailureOp::kStore,
                             FailureResolution::kReinstalled, cause.code(),
@@ -1287,8 +1245,7 @@ void Runtime::recover_failed_store(MobilePtr ptr, Entry& e,
   // The reinstall may exceed the budget; strict relief only — the relaxed
   // pass could evict this same queued object straight back into the sick
   // store and livelock the reinstall cycle.
-  while (ooc_.hard_pressure(0) && spill_one_victim(/*allow_relaxed=*/false)) {
-  }
+  make_room(0, /*strict=*/true);
 }
 
 void Runtime::poison_object(MobilePtr ptr, Entry& e, FailureOp op,
@@ -1336,8 +1293,7 @@ void Runtime::after_handler_accounting(MobilePtr ptr, Entry& e) {
     // object anyway: a footprint change is proof of mutation.
     e.obj->mark_dirty();
   }
-  while (ooc_.hard_pressure(0) && spill_one_victim()) {
-  }
+  make_room(0);
   sample_observability();
 }
 
@@ -1383,7 +1339,6 @@ bool Runtime::run_ready_object() {
 }
 
 void Runtime::execute_message(MobilePtr ptr, Entry& e, QueuedMessage& msg) {
-  ooc_.on_access(ptr.id);
   obs::TraceRecorder& tr = obs::TraceRecorder::global();
   if (tr.enabled() && msg.enq_ts != 0) {
     // Enqueue-to-delivery wait as an async span; value carries the number of
@@ -1393,17 +1348,24 @@ void Runtime::execute_message(MobilePtr ptr, Entry& e, QueuedMessage& msg) {
                 static_cast<std::uint16_t>(node_), msg.enq_ts,
                 now - std::min(msg.enq_ts, now), msg.hops);
   }
+  run_handler(ptr, e, msg.handler, msg.src, msg.payload, "handler");
+}
+
+void Runtime::run_handler(MobilePtr ptr, Entry& e, HandlerId handler,
+                          NodeId src, std::span<const std::byte> payload,
+                          const char* span_name) {
+  ooc_.on_access(ptr.id);
   e.running = true;
   {
-    obs::ChargedSpan span(obs::Cat::kComp, "handler",
+    obs::ChargedSpan span(obs::Cat::kComp, span_name,
                           static_cast<std::uint16_t>(node_),
                           &counters_.comp_time);
-    util::ByteReader reader(msg.payload);
-    registry_.handler(e.type, msg.handler)(*this, *e.obj, ptr, msg.src, reader);
+    util::ByteReader reader(payload);
+    registry_.handler(e.type, handler)(*this, *e.obj, ptr, src, reader);
   }
   e.running = false;
   counters_.messages_executed.fetch_add(1, std::memory_order_relaxed);
-  if (!registry_.handler_read_only(e.type, msg.handler)) e.obj->mark_dirty();
+  if (!registry_.handler_read_only(e.type, handler)) e.obj->mark_dirty();
 }
 
 void Runtime::advise_shed(std::uint32_t count, NodeId target) {
@@ -1522,21 +1484,8 @@ util::Status Runtime::checkpoint_to(util::ByteWriter& out) {
   out.write(count);
   for (auto& [ptr, e] : directory_) {
     if (e.state == Residency::kRemote || e.poisoned) continue;
-    out.write(ptr.id);
-    out.write(e.type);
-    out.write(static_cast<std::int32_t>(e.priority));
-    out.write<std::uint64_t>(e.queue.size());
-    for (const auto& msg : e.queue) {
-      out.write(msg.handler);
-      out.write(msg.src);
-      out.write_vector(msg.payload);
-    }
-    std::vector<std::byte> blob;
-    if (e.state == Residency::kInCore) {
-      util::ByteWriter body(e.footprint + 64);
-      e.obj->serialize(body);
-      blob = seal_blob(std::move(body));
-    } else {
+    std::vector<std::byte> spilled;
+    if (e.state != Residency::kInCore) {
       // Already spilled: the stored blob is sealed; copy it verbatim.
       auto loaded = store_.load_sync(ptr.id);
       if (!loaded.is_ok()) {
@@ -1545,13 +1494,15 @@ util::Status Runtime::checkpoint_to(util::ByteWriter& out) {
                                 to_string(ptr) + ": " +
                                 loaded.status().message());
       }
-      blob = std::move(loaded).value();
-      if (!sealed_blob_valid(blob)) {
+      spilled = std::move(loaded).value();
+      if (!sealed_blob_valid(spilled)) {
         return util::Status(util::StatusCode::kCorruption,
                             "checkpoint read a corrupt spill blob for " +
                                 to_string(ptr));
       }
     }
+    // A restored world restarts the epoch clock.
+    const auto blob = write_image(out, ptr, e, /*epoch=*/1, spilled);
     if (options_.recovery.checkpoint_store != nullptr) {
       // Side copy feeding the recovery ladder's checkpoint rung. Best
       // effort: a failed copy degrades recovery, not the checkpoint.
@@ -1561,92 +1512,60 @@ util::Status Runtime::checkpoint_to(util::ByteWriter& out) {
                       to_string(ptr), s.to_string());
       }
     }
-    out.write_vector(blob);
   }
   return util::Status::ok();
 }
 
-util::Status Runtime::restore_from(util::ByteReader& in) {
-  // Phase 1: parse and validate the whole image without touching runtime
-  // state, so a truncated or corrupt checkpoint cannot install a partial
-  // world (ArchiveError covers reads past a truncated buffer).
-  struct PendingObject {
-    MobilePtr ptr;
-    TypeId type = 0;
-    std::int32_t priority = kDefaultPriority;
-    std::deque<QueuedMessage> queue;
-    std::unique_ptr<MobileObject> obj;
-    std::size_t footprint = 0;
+util::Result<Runtime::CheckpointImage> Runtime::parse_checkpoint(
+    util::ByteReader& in) const {
+  auto corrupt = [](std::string what) {
+    return util::Status(util::StatusCode::kCorruption, std::move(what));
   };
-  std::uint64_t seq = 0;
-  std::vector<PendingObject> pending;
+  CheckpointImage image;
   try {
-    seq = in.read<std::uint64_t>();
+    image.next_seq = in.read<std::uint64_t>();
+    // No reserve: the count is unchecked input. Every object takes image
+    // bytes, so a count larger than the image ends in an ArchiveError.
     const auto count = in.read<std::uint64_t>();
-    pending.reserve(count);
     for (std::uint64_t k = 0; k < count; ++k) {
-      PendingObject p;
-      p.ptr = MobilePtr{in.read<std::uint64_t>()};
-      p.type = in.read<TypeId>();
-      p.priority = in.read<std::int32_t>();
-      const auto queue_len = in.read<std::uint64_t>();
-      for (std::uint64_t i = 0; i < queue_len; ++i) {
-        QueuedMessage msg;
-        msg.handler = in.read<HandlerId>();
-        msg.src = in.read<NodeId>();
-        msg.payload = in.read_vector<std::byte>();
-        p.queue.push_back(std::move(msg));
+      ObjectImage img = read_image(in);
+      if (img.type >= registry_.type_count()) {
+        return corrupt("restore image names unknown type of " +
+                       to_string(img.ptr));
       }
-      auto blob = in.read_vector<std::byte>();
-      auto payload = unseal_blob(blob);
-      if (!payload.is_ok()) {
-        return util::Status(util::StatusCode::kCorruption,
-                            "restore blob for " + to_string(p.ptr) +
-                                " rejected: " + payload.status().message());
+      for (const QueuedMessage& msg : img.queue) {
+        if (msg.handler >= registry_.handler_count(img.type)) {
+          return corrupt("restore image queues an unknown handler for " +
+                         to_string(img.ptr));
+        }
       }
-      p.obj = registry_.create(p.type);
-      util::ByteReader body(payload.value());
-      p.obj->deserialize(body);
-      p.footprint = p.obj->footprint_bytes();
-      if (const Entry* existing = find_entry(p.ptr);
+      if (const Entry* existing = find_entry(img.ptr);
           existing != nullptr && existing->state != Residency::kRemote) {
         return util::Status(util::StatusCode::kAlreadyExists,
                             "restore over an existing local object " +
-                                to_string(p.ptr));
+                                to_string(img.ptr));
       }
-      pending.push_back(std::move(p));
+      auto payload = unseal_blob(img.blob);
+      if (!payload.is_ok()) {
+        return corrupt("restore blob for " + to_string(img.ptr) +
+                       " rejected: " + payload.status().message());
+      }
+      auto obj = registry_.create(img.type);
+      util::ByteReader body(payload.value());
+      obj->deserialize(body);
+      img.blob = {};  // revived; the parsed buffer may go
+      image.objects.emplace_back(std::move(img), std::move(obj));
     }
   } catch (const util::ArchiveError& err) {
-    return util::Status(util::StatusCode::kCorruption,
-                        std::string("restore image truncated or malformed: ") +
-                            err.what());
+    return corrupt(std::string("restore image truncated or malformed: ") +
+                   err.what());
   }
+  return image;
+}
 
-  // Phase 2: install. Nothing below can fail.
-  next_seq_ = std::max(next_seq_, seq);
-  for (auto& p : pending) {
-    while (ooc_.hard_pressure(p.footprint) && spill_one_victim()) {
-    }
-    auto [it, inserted] = directory_.try_emplace(p.ptr, Entry{});
-    Entry& e = it->second;
-    e.state = Residency::kInCore;
-    e.type = p.type;
-    e.obj = std::move(p.obj);
-    e.priority = p.priority;
-    e.footprint = p.footprint;
-    e.epoch = 1;  // restored world restarts the epoch clock
-    e.queue = std::move(p.queue);
-    // A restored object has no blob on the spill backend yet.
-    e.blob_bytes = 0;
-    e.blob_crc = 0;
-    e.stored_gen = 0;
-    ooc_.on_install(p.ptr.id, e.footprint);
-    e.obj->on_register(*this, p.ptr);
-    queued_messages_.fetch_add(e.queue.size(), std::memory_order_acq_rel);
-    bump_activity();
-    if (!e.queue.empty()) push_ready(e, p.ptr);
-  }
-  return util::Status::ok();
+void Runtime::restore(CheckpointImage image) {
+  next_seq_ = std::max(next_seq_, image.next_seq);
+  for (auto& [img, obj] : image.objects) install_image(img, std::move(obj));
 }
 
 void Runtime::note_remote_location(MobilePtr ptr, NodeId where) {
@@ -1718,22 +1637,17 @@ bool Runtime::steal_claim(MobilePtr ptr, std::vector<std::byte>& frame) {
   // The frame is simultaneously the payload a commit ships to the thief
   // (install-wire format, epoch + 1) and the checkpoint image an abort
   // restores from. The entry keeps its current epoch until the decision.
-  frame = make_install_frame(ptr, *e);
-  e->obj.reset();
-  ooc_.on_remove(ptr.id);
-  if (e->blob_bytes > 0) {
-    // Like a migration: no stale spill copy may outlive the (speculative)
-    // move. An abort reinstalls in core with no blob identity, which only
-    // costs a future elision.
-    store_.erase(ptr.id);
-    ooc_.on_spill_erased(ptr.id);
-    e->blob_bytes = 0;
-    e->blob_crc = 0;
-    e->stored_gen = 0;
-  }
+  leave_core(ptr, *e, [&] {
+    util::ByteWriter w(e->footprint + 256);
+    write_image(w, ptr, *e, e->epoch + 1);
+    frame = w.take();
+  });
+  // Like a migration: no stale spill copy may outlive the (speculative)
+  // move. An abort reinstalls in core with no blob identity, which only
+  // costs a future elision.
+  if (e->blob_bytes > 0) forget_blob(ptr, *e, /*erase_stored=*/true);
   sub_queued(e->queue.size());
   e->queue.clear();
-  e->in_ready_list = false;
   e->stolen = true;
   e->steal_conflict = false;
   counters_.steals_claimed.fetch_add(1, std::memory_order_relaxed);
@@ -1772,54 +1686,22 @@ bool Runtime::steal_resolve(MobilePtr ptr, NodeId thief,
   // the claimed messages AHEAD of anything that parked during the window,
   // preserving the pre-claim local FIFO order. The handler never ran at the
   // thief (execution only happens after a commit), so this is exactly-once.
+  // The claim epoch in the image is unused: the entry kept its own.
   util::ByteReader in(frame);
-  const MobilePtr check{in.read<std::uint64_t>()};
-  assert(check == ptr);
-  (void)check;
-  const auto type = in.read<TypeId>();
-  in.read<std::uint64_t>();  // claim epoch: unused, the entry kept its own
-  const auto priority = in.read<std::int32_t>();
-  const auto queue_len = in.read<std::uint64_t>();
-  std::deque<QueuedMessage> claimed;
-  for (std::uint64_t i = 0; i < queue_len; ++i) {
-    QueuedMessage msg;
-    msg.handler = in.read<HandlerId>();
-    msg.src = in.read<NodeId>();
-    msg.payload = in.read_vector<std::byte>();
-    claimed.push_back(std::move(msg));
-  }
-  auto blob = in.read_vector<std::byte>();
-  auto payload = unseal_blob(blob);
-  if (!payload.is_ok()) {
-    // The image never left this process; a bad seal is a broken claim path,
-    // not a recoverable storage fault.
-    throw std::runtime_error("mrts: steal rollback image for " +
-                             to_string(ptr) +
-                             " rejected: " + payload.status().to_string());
-  }
-  auto obj = registry_.create(type);
-  {
-    obs::ChargedSpan span(obs::Cat::kComp, "steal.rollback",
-                          static_cast<std::uint16_t>(node_),
-                          &counters_.comp_time);
-    util::ByteReader body(payload.value());
-    obj->deserialize(body);
-  }
+  ObjectImage img = read_image(in);
+  assert(img.ptr == ptr);
+  auto obj = revive(img.type, intact_payload(img.blob, ptr), "steal.rollback");
   const std::size_t fp = obj->footprint_bytes();
-  while (ooc_.hard_pressure(fp) && spill_one_victim()) {
-  }
-  e->obj = std::move(obj);
-  e->type = type;
-  e->priority = priority;
-  e->footprint = fp;
-  for (auto it = claimed.rbegin(); it != claimed.rend(); ++it) {
+  make_room(fp);
+  e->type = img.type;
+  e->priority = img.priority;
+  queued_messages_.fetch_add(img.queue.size(), std::memory_order_acq_rel);
+  for (auto it = img.queue.rbegin(); it != img.queue.rend(); ++it) {
     e->queue.push_front(std::move(*it));
   }
-  queued_messages_.fetch_add(queue_len, std::memory_order_acq_rel);
   e->stolen = false;
   e->steal_conflict = false;
-  ooc_.on_install(ptr.id, fp);
-  e->obj->on_register(*this, ptr);
+  install(ptr, *e, std::move(obj), fp);
   counters_.steals_aborted.fetch_add(1, std::memory_order_relaxed);
   obs::TraceRecorder::global().instant(obs::Cat::kOther, "steal.abort",
                                        static_cast<std::uint16_t>(node_),
@@ -1854,42 +1736,30 @@ std::vector<Runtime::RecoveredObject> Runtime::crash_export() {
       out.push_back(std::move(rec));
       continue;
     }
+    util::ByteWriter w(e.footprint + 256);
     if (e.state == Residency::kInCore && e.obj != nullptr) {
-      rec.frame = make_install_frame(ptr, e);
-      // make_install_frame unregistered the object; the wipe discards it.
-      out.push_back(std::move(rec));
-      continue;
-    }
-    // Spilled: the replica scan. The blob survives the crash on the
-    // replicated spill store (and the checkpoint side-store as the second
-    // rung); read it back through the same verification a reload uses.
-    std::vector<std::byte> blob;
-    if (auto loaded = store_.load_sync(ptr.id);
-        loaded.is_ok() && blob_matches(e, loaded.value())) {
-      blob = std::move(loaded).value();
-    } else if (options_.recovery.checkpoint_store != nullptr) {
-      if (auto cp = options_.recovery.checkpoint_store->load(ptr.id);
-          cp.is_ok() && blob_matches(e, cp.value())) {
-        blob = std::move(cp).value();
+      leave_core(ptr, e, [&] { write_image(w, ptr, e, rec.epoch); });
+    } else {
+      // Spilled: the replica scan. The blob survives the crash on the
+      // replicated spill store (and the checkpoint side-store as the second
+      // rung); read it back through the same verification a reload uses.
+      std::vector<std::byte> blob;
+      if (auto loaded = store_.load_sync(ptr.id);
+          loaded.is_ok() && blob_matches(e, loaded.value())) {
+        blob = std::move(loaded).value();
+      } else if (options_.recovery.checkpoint_store != nullptr) {
+        if (auto cp = options_.recovery.checkpoint_store->load(ptr.id);
+            cp.is_ok() && blob_matches(e, cp.value())) {
+          blob = std::move(cp).value();
+        }
       }
+      if (blob.empty()) {
+        rec.lost = true;
+        out.push_back(std::move(rec));
+        continue;
+      }
+      write_image(w, ptr, e, rec.epoch, blob);
     }
-    if (blob.empty()) {
-      rec.lost = true;
-      out.push_back(std::move(rec));
-      continue;
-    }
-    util::ByteWriter w(blob.size() + 256);
-    w.write(ptr.id);
-    w.write(e.type);
-    w.write<std::uint64_t>(e.epoch + 1);
-    w.write(static_cast<std::int32_t>(e.priority));
-    w.write<std::uint64_t>(e.queue.size());
-    for (const auto& msg : e.queue) {
-      w.write(msg.handler);
-      w.write(msg.src);
-      w.write_vector(msg.payload);
-    }
-    w.write_vector(blob);
     rec.frame = w.take();
     out.push_back(std::move(rec));
   }
@@ -1907,17 +1777,10 @@ void Runtime::crash_wipe() {
   for (auto& [ptr, e] : directory_) {
     if (e.state == Residency::kRemote) continue;
     assert(!e.stolen && "steals must be force-resolved before crash_wipe");
-    if (e.obj != nullptr) {
-      // crash_export may already have unregistered it via
-      // make_install_frame; on_unregister is idempotent for our objects but
-      // the ooc bookkeeping must go exactly once.
-      e.obj.reset();
-      ooc_.on_remove(ptr.id);
-    }
+    if (e.obj != nullptr) leave_core(ptr, e, [] {});  // not exported first
     if (e.state == Residency::kOnDisk || e.state == Residency::kStoring ||
         e.blob_bytes > 0) {
-      store_.erase(ptr.id);
-      ooc_.on_spill_erased(ptr.id);
+      forget_blob(ptr, e, /*erase_stored=*/true);
     }
     if (options_.recovery.checkpoint_store != nullptr) {
       options_.recovery.checkpoint_store->erase(ptr.id);

@@ -69,9 +69,6 @@ struct RuntimeOptions {
   /// Messages processed from one object's queue before the control layer
   /// considers switching to another object.
   std::size_t max_messages_per_turn = 64;
-  /// Enables Runtime::try_deliver_inline (the shared-memory shortcut used by
-  /// the optimized ONUPDR, paper §III "Optimization").
-  bool enable_inline_delivery = true;
   /// Lazy directory updates (paper [27]): after a forwarded delivery, every
   /// node on the route learns the object's current location. Disable to
   /// measure the cost of forwarding through stale entries forever.
@@ -165,6 +162,34 @@ enum class ObjectHealth : std::uint8_t {
 };
 
 class Runtime {
+  // Declared ahead of the public API, whose CheckpointImage holds them.
+  struct QueuedMessage {
+    HandlerId handler;
+    NodeId src;
+    std::vector<std::byte> payload;
+    // Local observability only — not part of the wire/checkpoint format.
+    // A message that travels (migration, checkpoint) restarts its wait.
+    std::uint64_t enq_ts = 0;  // trace clock at local enqueue
+    std::uint32_t hops = 0;    // directory forwarding hops before arrival
+  };
+
+  /// A mobile object serialized for transfer (paper §II.B): the one image
+  /// that migration, steal claims, crash export and checkpoints all carry.
+  /// Layout: ptr id, type, epoch (u64), priority (i32), queue length (u64),
+  /// per message its handler, source node and payload, then the sealed blob
+  /// (u64 length + bytes). Written only by write_image, read only by
+  /// read_image.
+  struct ObjectImage {
+    MobilePtr ptr;
+    TypeId type = 0;
+    /// Epoch of the installation the image creates.
+    std::uint64_t epoch = 0;
+    int priority = kDefaultPriority;
+    std::deque<QueuedMessage> queue;
+    /// Sealed blob; a view into the buffer the image was read from.
+    std::span<const std::byte> blob;
+  };
+
  public:
   Runtime(NodeId node, net::Endpoint& endpoint,
           const ObjectTypeRegistry& registry,
@@ -345,16 +370,32 @@ class Runtime {
   // --- checkpoint/restore support (see core/checkpoint.hpp) ---------------
 
   /// Serializes every local object (in-core or spilled) with its queue and
-  /// metadata. Phase-boundary only: no handler running, no I/O in flight
-  /// (kInvalidArgument otherwise); spilled blobs that cannot be read back
-  /// surface as the load's status. When a recovery checkpoint_store is
-  /// configured, each object's sealed blob is also copied into it.
+  /// metadata, one object image each (the install-frame layout, epoch 1: a
+  /// restored world restarts the epoch clock). Phase-boundary only: no
+  /// handler running, no I/O in flight (kInvalidArgument otherwise); spilled
+  /// blobs that cannot be read back surface as the load's status. When a
+  /// recovery checkpoint_store is configured, each object's sealed blob is
+  /// also copied into it.
   [[nodiscard]] util::Status checkpoint_to(util::ByteWriter& out);
 
-  /// Installs objects previously written by checkpoint_to on this node.
-  /// Two-phase: the image is fully parsed and validated first, then
-  /// installed, so a truncated or corrupt image leaves the node unchanged.
-  [[nodiscard]] util::Status restore_from(util::ByteReader& in);
+  /// One node's checkpoint_to image, parsed and validated by
+  /// parse_checkpoint, with every object already deserialized.
+  struct CheckpointImage {
+    std::uint64_t next_seq = 0;
+    std::vector<std::pair<ObjectImage, std::unique_ptr<MobileObject>>> objects;
+  };
+
+  /// Restore, first half: parses and validates an image written by
+  /// checkpoint_to without changing any state. A truncated or corrupt image
+  /// (bad seal, unknown type or handler, a count larger than the image)
+  /// or one naming an object this node already hosts is an error Status,
+  /// never an exception.
+  [[nodiscard]] util::Result<CheckpointImage> parse_checkpoint(
+      util::ByteReader& in) const;
+
+  /// Restore, second half: installs a parsed image on this node. Cannot
+  /// fail.
+  void restore(CheckpointImage image);
 
   /// Seeds the directory cache: the object is currently hosted at `where`.
   /// Used after restore so home nodes relearn migrated objects' locations.
@@ -412,11 +453,12 @@ class Runtime {
   };
 
   /// Fail-stop crash, export half: drains in-flight I/O, then serializes
-  /// every hosted object into an install frame — in-core objects directly,
-  /// spilled ones via a replica scan (load back through the replicated
-  /// storage stack, falling back to the checkpoint side-store). Sorted by
-  /// object id for deterministic replay. Driver-side only: the membership
-  /// manager calls this between deterministic sweeps.
+  /// every hosted object into an install frame — in-core objects directly
+  /// (each leaves core as it is written), spilled ones via a replica scan
+  /// (load back through the replicated storage stack, falling back to the
+  /// checkpoint side-store). Sorted by object id for deterministic replay.
+  /// Driver-side only: the membership manager calls this, then crash_wipe,
+  /// between deterministic sweeps.
   [[nodiscard]] std::vector<RecoveredObject> crash_export();
 
   /// Fail-stop crash, state-loss half: erases the directory, queues, spill
@@ -470,16 +512,6 @@ class Runtime {
 
  private:
   enum class Residency { kInCore, kLoading, kStoring, kOnDisk, kRemote };
-
-  struct QueuedMessage {
-    HandlerId handler;
-    NodeId src;
-    std::vector<std::byte> payload;
-    // Local observability only — not part of the wire/checkpoint format.
-    // A message that travels (migration, checkpoint) restarts its wait.
-    std::uint64_t enq_ts = 0;  // trace clock at local enqueue
-    std::uint32_t hops = 0;    // directory forwarding hops before arrival
-  };
 
   struct MulticastOp {
     std::uint64_t id;
@@ -592,6 +624,11 @@ class Runtime {
   void push_ready(Entry& e, MobilePtr ptr);
   bool run_ready_object();
   void execute_message(MobilePtr ptr, Entry& e, QueuedMessage& msg);
+  /// Runs one handler against the in-core object of `e`, charged to span
+  /// `span_name`, and marks the object dirty unless the handler is
+  /// read-only. Every handler invocation funnels through here.
+  void run_handler(MobilePtr ptr, Entry& e, HandlerId handler, NodeId src,
+                   std::span<const std::byte> payload, const char* span_name);
   bool drain_completions();
   /// Queues an I/O completion (any thread) and rings the node's doorbell.
   void push_completion(Completion c);
@@ -612,10 +649,16 @@ class Runtime {
   void poison_object(MobilePtr ptr, Entry& e, FailureOp op,
                      const util::Status& cause);
   bool schedule_loads();
-  bool relieve_pressure();
   void start_load(Entry& e, MobilePtr ptr);
   bool spill_one_victim(bool allow_relaxed = true);
   void spill(MobilePtr ptr, Entry& e);
+  /// Evicts until an allocation of `extra` bytes clears the hard threshold
+  /// or nothing more is evictable. `strict` limits victims to idle objects.
+  void make_room(std::size_t extra, bool strict = false) {
+    while (ooc_.hard_pressure(extra) && spill_one_victim(!strict)) {
+    }
+  }
+
   /// Strict: idle objects only. Relaxed additionally allows objects with
   /// queued messages (they reload when scheduled) — the escape hatch when
   /// every resident object has pending work and memory must still be freed.
@@ -626,16 +669,47 @@ class Runtime {
   bool advance_pending_migrations();
   bool apply_shed_advice();
   void do_migrate(MobilePtr ptr, Entry& e, NodeId dst);
-  /// Serializes `e` (which must hold an in-core object) into the
-  /// install-wire frame am_install consumes, carrying epoch `e.epoch + 1`.
-  /// Shared by migration, steal claims, and crash export.
-  [[nodiscard]] std::vector<std::byte> make_install_frame(MobilePtr ptr,
-                                                          Entry& e);
-  /// Body of make_install_frame, writing into a caller-provided writer so
-  /// the migration path can serialize straight into the reliable link's
-  /// batch frame (zero-copy) while steal claims and crash export keep
-  /// their owned-vector form.
-  void write_install_frame(util::ByteWriter& w, MobilePtr ptr, Entry& e);
+
+  // residency changes -------------------------------------------------------
+  // Every change of where an object's state lives goes through one of these.
+
+  /// The object enters core on `e`: state, footprint, a satisfied
+  /// load_wanted, OOC residency, then on_register.
+  void install(MobilePtr ptr, Entry& e, std::unique_ptr<MobileObject> obj,
+               std::size_t footprint);
+  /// Hosts an object revived from `img` as a new installation: the entry
+  /// takes the image's type, epoch, priority and queue, and no blob.
+  void install_image(ObjectImage& img, std::unique_ptr<MobileObject> obj);
+  /// The object leaves core. on_unregister runs first, so whatever it
+  /// changes (and marks dirty) is what `capture()` then sees: the spill
+  /// path's elision check and serialization, or an image writer. Then the
+  /// object is dropped and the OOC layer forgets its residency.
+  template <typename Capture>
+  void leave_core(MobilePtr ptr, Entry& e, Capture&& capture);
+  /// The entry stops claiming a spill blob: the OOC layer forgets its size
+  /// and blob_bytes, blob_crc and stored_gen are zeroed. `erase_stored`
+  /// also erases it from the spill backend.
+  void forget_blob(MobilePtr ptr, Entry& e, bool erase_stored);
+  /// Puts an on-disk entry on the load queue, once, if anything wants it in
+  /// core (queued messages or load_wanted); true when it was queued now.
+  bool want_load(MobilePtr ptr, Entry& e);
+
+  // object images ----------------------------------------------------------
+
+  /// The one image writer: `e`'s header with `epoch`, its queue, then its
+  /// sealed blob — `sealed` verbatim when given, else the in-core object
+  /// serialized and sealed in place (zero-copy into `w`, which may be the
+  /// reliable link's open batch). Returns the blob as written into `w`.
+  std::span<const std::byte> write_image(
+      util::ByteWriter& w, MobilePtr ptr, const Entry& e, std::uint64_t epoch,
+      std::span<const std::byte> sealed = {});
+  /// The one image reader; throws util::ArchiveError on a truncated image.
+  static ObjectImage read_image(util::ByteReader& in);
+  /// A blank `type` instance deserialized from a verified blob payload.
+  std::unique_ptr<MobileObject> revive(TypeId type,
+                                       std::span<const std::byte> payload,
+                                       const char* span_name);
+
   /// Membership guard: true when `n` is up / accepting under the installed
   /// view (vacuously true without one).
   [[nodiscard]] bool peer_up(NodeId n) const {

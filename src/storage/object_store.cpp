@@ -45,8 +45,6 @@ void ObjectStore::store_async(ObjectKey key, std::vector<std::byte> bytes,
               .bytes = std::move(bytes),
               .store_done = std::move(done),
               .load_done = {}};
-  store_bytes_in_flight_.fetch_add(req.bytes.size(),
-                                   std::memory_order_acq_rel);
   if (options_.synchronous) {
     execute(req);
     return;
@@ -71,11 +69,9 @@ void ObjectStore::load_async(ObjectKey key, LoadCallback done) {
   }
   {
     std::lock_guard lock(mutex_);
-    if (options_.prioritize_loads) {
-      queue_.push_front(std::move(req));
-    } else {
-      queue_.push_back(std::move(req));
-    }
+    // Loads are served before stores when both are queued: a pending load
+    // blocks a message handler, a pending store only delays reclamation.
+    queue_.push_front(std::move(req));
     sample_queue_depth_locked();
   }
   cv_.notify_one();
@@ -190,8 +186,6 @@ void ObjectStore::execute(Request& req) {
                         static_cast<std::uint16_t>(options_.trace_track),
                         disk_time_);
   if (req.is_store) {
-    // Captured up front: the payload may be moved out below on failure.
-    const std::size_t payload_bytes = req.bytes.size();
     // Move-aware store: a backend that can adopt the buffer does so on
     // success only — per the StorageBackend contract a failed attempt
     // leaves req.bytes intact, which both the retry loop here and the
@@ -208,7 +202,6 @@ void ObjectStore::execute(Request& req) {
       req.store_done(status, status.is_ok() ? std::vector<std::byte>{}
                                             : std::move(req.bytes));
     }
-    store_bytes_in_flight_.fetch_sub(payload_bytes, std::memory_order_acq_rel);
   } else {
     util::Result<std::vector<std::byte>> result =
         util::Status(util::StatusCode::kUnavailable, "not attempted");

@@ -36,9 +36,6 @@ struct ObjectStoreOptions {
   /// Transient (kUnavailable) backend failures are retried under this policy
   /// before the error is propagated to the callback.
   RetryPolicy retry{};
-  /// Loads are served before stores when both are queued: a pending load
-  /// blocks a message handler, a pending store only delays reclamation.
-  bool prioritize_loads = true;
   /// Execute requests inline on the calling thread instead of on the I/O
   /// thread (no thread is spawned). Callbacks run before store_async /
   /// load_async return. Used by the deterministic chaos driver, where I/O
@@ -77,14 +74,6 @@ class ObjectStore {
   void drain();
 
   [[nodiscard]] std::size_t pending() const;
-  /// Store payload bytes queued or executing right now — the storage-layer
-  /// half of the write-behind accounting (the runtime additionally tracks a
-  /// control-thread-owned budget; see RuntimeOptions::write_behind_max_bytes).
-  /// In synchronous mode stores execute inline, so this reads zero between
-  /// calls.
-  [[nodiscard]] std::uint64_t in_flight_store_bytes() const {
-    return store_bytes_in_flight_.load(std::memory_order_acquire);
-  }
   [[nodiscard]] const StorageBackend& backend() const { return *backend_; }
   /// Forwards a virtual maintenance tick to the backend stack (group-commit
   /// flush deadlines, bounded compaction). Called by the runtime's control
@@ -139,7 +128,6 @@ class ObjectStore {
   // must not contend with the request queue.
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> backoff_us_{0};
-  std::atomic<std::uint64_t> store_bytes_in_flight_{0};
 
   std::thread io_thread_;
 };

@@ -143,7 +143,7 @@ util::Result<std::vector<std::byte>> ReplicatedStore::load(ObjectKey key) {
       rstats_.primary_load_ewma_us >= options_.hedge_latency_us) {
     ++rstats_.hedged_reads;
     auto h = mirror_->load(key);
-    if (h.is_ok() && (!options_.verify_seals || sealed_blob_valid(h.value()))) {
+    if (h.is_ok() && sealed_blob_valid(h.value())) {
       ++rstats_.hedge_wins;
       // A winning hedge skips the primary, so the EWMA would never see the
       // device heal. Decay it geometrically: after enough wins it drops
@@ -159,8 +159,7 @@ util::Result<std::vector<std::byte>> ReplicatedStore::load(ObjectKey key) {
       if (breaker_.state() != before) note_transition_locked("breaker.probe");
       auto r = primary_->load(key);
       update_hedge_ewma_locked();
-      if (r.is_ok() &&
-          (!options_.verify_seals || sealed_blob_valid(r.value()))) {
+      if (r.is_ok() && sealed_blob_valid(r.value())) {
         const BreakerState mid = breaker_.state();
         if (breaker_.on_success() && mid != BreakerState::kClosed) {
           note_transition_locked("breaker.close");
@@ -180,7 +179,7 @@ util::Result<std::vector<std::byte>> ReplicatedStore::load(ObjectKey key) {
   }
 
   auto m = mirror_->load(key);
-  if (m.is_ok() && (!options_.verify_seals || sealed_blob_valid(m.value()))) {
+  if (m.is_ok() && sealed_blob_valid(m.value())) {
     ++rstats_.mirror_hits;
     // Scrub-on-read: rewrite the primary copy while we hold the good bytes.
     // Gated by the breaker — the repair is itself an offered operation (it

@@ -40,10 +40,6 @@ struct ReplicatedStoreOptions {
   /// Bound on bytes parked in the in-memory overflow when both primary and
   /// mirror refuse a store; beyond it the store error is propagated.
   std::uint64_t overflow_capacity_bytes = 64u << 20;
-  /// Verify the payload's sealed CRC trailer on every primary load and
-  /// treat a mismatch as a primary failure (the runtime seals all spill
-  /// blobs). Disable if payloads are not sealed.
-  bool verify_seals = true;
   /// Hedged reads (gray-failure mitigation): when the primary's recent
   /// per-load modeled latency (EWMA of the virtual_*_latency_us deltas it
   /// reports) reaches hedge_latency_us, race the mirror *first*. A sealed

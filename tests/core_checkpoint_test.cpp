@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <span>
 
 #include "core/checkpoint.hpp"
@@ -270,44 +271,172 @@ TEST_F(CheckpointTest, BitFlippedNodeFileIsRejectedByItsCrc) {
   EXPECT_EQ(total_objects(*w2.cluster), 0u) << "partial restore";
 }
 
+// Applies `damage` to a node file's image and re-seals the file CRC, so only
+// restore's own validation can catch it.
+void damage_below_file_crc(const std::filesystem::path& file,
+                           const std::function<void(std::span<std::byte>)>&
+                               damage) {
+  std::vector<std::byte> bytes(std::filesystem::file_size(file));
+  {
+    std::ifstream in(file, std::ios::binary);
+    in.read(reinterpret_cast<char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+    ASSERT_TRUE(in.good());
+  }
+  ASSERT_GT(bytes.size(), sizeof(std::uint32_t) + 64);
+  std::span<std::byte> image(bytes.data(),
+                             bytes.size() - sizeof(std::uint32_t));
+  damage(image);
+  const std::uint32_t crc = util::crc32(image);
+  std::memcpy(bytes.data() + image.size(), &crc, sizeof(crc));
+  std::ofstream out(file, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(bytes.data()),
+            static_cast<std::streamsize>(bytes.size()));
+  ASSERT_TRUE(out.good());
+}
+
 TEST_F(CheckpointTest, CorruptImageBelowTheFileCrcIsStillRejected) {
   // Damage the serialized node image but re-seal the file with a correct
-  // file-level CRC: only Runtime::restore_from's inner validation (object
-  // blob seals, archive bounds) can catch it — and it must do so before
-  // installing anything.
+  // file-level CRC: only Runtime::parse_checkpoint's inner validation
+  // (object blob seals, archive bounds) can catch it — and it must do so
+  // before installing anything.
   World w;
   make_populated_checkpoint(w, dir_);
-  const auto node0 = dir_ / "node0.ckpt";
-  std::vector<std::byte> file_bytes;
-  {
-    std::ifstream in(node0, std::ios::binary | std::ios::ate);
-    ASSERT_TRUE(in.good());
-    file_bytes.resize(static_cast<std::size_t>(in.tellg()));
-    in.seekg(0);
-    in.read(reinterpret_cast<char*>(file_bytes.data()),
-            static_cast<std::streamsize>(file_bytes.size()));
-  }
-  ASSERT_GT(file_bytes.size(), sizeof(std::uint32_t) + 64);
-  // Flip payload bytes mid-image (past the header, before the file CRC).
-  std::span<std::byte> payload(file_bytes.data(),
-                               file_bytes.size() - sizeof(std::uint32_t));
-  for (std::size_t i = payload.size() / 2;
-       i < payload.size() / 2 + 16 && i < payload.size(); ++i) {
-    payload[i] ^= std::byte{0xA5};
-  }
-  const std::uint32_t crc = util::crc32(payload);
-  std::memcpy(file_bytes.data() + payload.size(), &crc, sizeof(crc));
-  {
-    std::ofstream out(node0, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(file_bytes.data()),
-              static_cast<std::streamsize>(file_bytes.size()));
-    ASSERT_TRUE(out.good());
-  }
+  damage_below_file_crc(dir_ / "node0.ckpt", [](std::span<std::byte> image) {
+    // Flip payload bytes mid-image (past the header, before the file CRC).
+    for (std::size_t i = image.size() / 2;
+         i < image.size() / 2 + 16 && i < image.size(); ++i) {
+      image[i] ^= std::byte{0xA5};
+    }
+  });
 
   World w2;
   util::Status s = restore_cluster(*w2.cluster, dir_);
   EXPECT_FALSE(s.is_ok());
   EXPECT_EQ(total_objects(*w2.cluster), 0u) << "partial restore";
+}
+
+TEST_F(CheckpointTest, CorruptLastNodeImageLeavesClusterUnchanged) {
+  // Nodes 0 and 1 hold intact images; node 2's is damaged below its file
+  // CRC. Every image is parsed before any is installed, so nothing may land
+  // on nodes 0 and 1 either.
+  World w;
+  make_populated_checkpoint(w, dir_);
+  damage_below_file_crc(dir_ / "node2.ckpt", [](std::span<std::byte> image) {
+    // 16 bytes inside the last object's blob, ahead of its seal.
+    for (std::size_t i = image.size() - 64; i < image.size() - 48; ++i) {
+      image[i] ^= std::byte{0xA5};
+    }
+  });
+
+  World w2;
+  util::Status s = restore_cluster(*w2.cluster, dir_);
+  EXPECT_EQ(s.code(), util::StatusCode::kCorruption);
+  EXPECT_EQ(total_objects(*w2.cluster), 0u) << "partial restore";
+}
+
+TEST_F(CheckpointTest, HugeObjectCountIsCorruptionNotAThrow) {
+  // An object count far beyond what the image holds must not size any
+  // buffer: the restore fails cleanly once the image runs out.
+  World w;
+  make_populated_checkpoint(w, dir_);
+  damage_below_file_crc(dir_ / "node0.ckpt", [](std::span<std::byte> image) {
+    const std::uint64_t huge = std::uint64_t{1} << 62;  // follows next_seq
+    std::memcpy(image.data() + sizeof(std::uint64_t), &huge, sizeof(huge));
+  });
+
+  World w2;
+  util::Status s;
+  EXPECT_NO_THROW(s = restore_cluster(*w2.cluster, dir_));
+  EXPECT_EQ(s.code(), util::StatusCode::kCorruption);
+  EXPECT_EQ(total_objects(*w2.cluster), 0u) << "partial restore";
+}
+
+// --- the object image: migration, crash export and checkpoints share one
+// layout (ptr, type, epoch, priority, queue, sealed blob) ------------------
+
+std::uint64_t fnv1a(std::span<const std::byte> bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (std::byte b : bytes) {
+    h = (h ^ static_cast<std::uint64_t>(b)) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+// The same image one installation later: its epoch field incremented.
+std::vector<std::byte> next_epoch(std::vector<std::byte> frame) {
+  constexpr std::size_t kEpochAt = sizeof(std::uint64_t) + sizeof(TypeId);
+  std::uint64_t epoch = 0;
+  std::memcpy(&epoch, frame.data() + kEpochAt, sizeof(epoch));
+  ++epoch;
+  std::memcpy(frame.data() + kEpochAt, &epoch, sizeof(epoch));
+  return frame;
+}
+
+using ObjectImage = CheckpointTest;
+
+TEST_F(ObjectImage, GoldenBytesPinInstallFrameAndCheckpointRecord) {
+  // Two boxes on node 0 with non-default priorities: the low-priority one
+  // is spilled by soft pressure, the other stays in core. Then each gets
+  // queued messages that have not run.
+  World w(/*budget_kb=*/40);
+  Runtime& rt = w.cluster->node(0);
+  auto [cold, cold_box] = rt.create<Box>(w.type);
+  cold_box->value = 11;
+  cold_box->data.assign(2000, 1);
+  rt.refresh_footprint(cold);
+  rt.set_priority(cold, 2);
+  auto [hot, hot_box] = rt.create<Box>(w.type);
+  hot_box->value = 22;
+  hot_box->data.assign(2000, 2);
+  rt.refresh_footprint(hot);
+  rt.set_priority(hot, 8);
+  ASSERT_FALSE(w.cluster->run().timed_out);
+  ASSERT_FALSE(rt.is_in_core(cold));
+  ASSERT_TRUE(rt.is_in_core(hot));
+  rt.send(cold, w.h_add, arg_u64(3));
+  rt.send(hot, w.h_add, arg_u64(4));
+  rt.send(hot, w.h_add, arg_u64(5));
+
+  util::ByteWriter image;
+  ASSERT_TRUE(rt.checkpoint_to(image).is_ok());
+  EXPECT_EQ(fnv1a(image.bytes()), 0xb73ed227bcaf259bull)
+      << std::hex << fnv1a(image.bytes());
+  ASSERT_TRUE(checkpoint_cluster(*w.cluster, dir_).is_ok());
+
+  // Crash export: the spilled box's frame carries its stored blob verbatim,
+  // the in-core box's frame is serialized in place. Sorted by object id.
+  const std::vector<Runtime::RecoveredObject> exported = rt.crash_export();
+  rt.crash_wipe();
+  ASSERT_EQ(exported.size(), 2u);
+  ASSERT_EQ(exported[0].ptr, cold);
+  ASSERT_EQ(exported[1].ptr, hot);
+  const std::uint64_t golden[] = {0x3022214a8a432fb8ull, 0x6a893cb1d3d87c07ull};
+  for (std::size_t i = 0; i < exported.size(); ++i) {
+    ASSERT_FALSE(exported[i].lost);
+    EXPECT_EQ(fnv1a(exported[i].frame), golden[i])
+        << i << ": " << std::hex << fnv1a(exported[i].frame);
+  }
+
+  // Rebuilt on node 1, the boxes export the same images one epoch later.
+  Runtime& rebuilt = w.cluster->node(1);
+  for (const auto& rec : exported) rebuilt.install_recovered(0, rec.frame);
+  const auto again = rebuilt.crash_export();
+  rebuilt.crash_wipe();
+  ASSERT_EQ(again.size(), exported.size());
+  for (std::size_t i = 0; i < again.size(); ++i) {
+    EXPECT_EQ(again[i].frame, next_epoch(exported[i].frame)) << i;
+  }
+
+  // Restored from the checkpoint (epoch 1 again), they export the very same
+  // frames.
+  World w2(/*budget_kb=*/40);
+  ASSERT_TRUE(restore_cluster(*w2.cluster, dir_).is_ok());
+  const auto restored = w2.cluster->node(0).crash_export();
+  ASSERT_EQ(restored.size(), exported.size());
+  for (std::size_t i = 0; i < restored.size(); ++i) {
+    EXPECT_EQ(restored[i].frame, exported[i].frame) << i;
+  }
 }
 
 }  // namespace

@@ -146,6 +146,29 @@ TEST_F(RuntimeTest, InlineDeliveryRunsSynchronously) {
   EXPECT_EQ(rt_->counters().inline_deliveries.load(), 1u);
 }
 
+TEST_F(RuntimeTest, MulticastHandlerMayPostMulticasts) {
+  // Each delivery posts more multicasts while its own op is still being
+  // delivered, growing the runtime's list of pending ops under it.
+  const MobilePtr a = make_box();
+  const MobilePtr b = make_box();
+  int posting_runs = 0;
+  HandlerId h_fan = 0;
+  h_fan = registry_.register_handler(
+      type_, [&](Runtime& rt, MobileObject& obj, MobilePtr, NodeId,
+                 util::ByteReader&) {
+        ++static_cast<Box&>(obj).value;
+        if (posting_runs < 64) {
+          ++posting_runs;
+          for (int k = 0; k < 8; ++k) rt.send_multicast({a, b}, 1, h_fan, {});
+        }
+      });
+  rt_->send_multicast({a, b}, 2, h_fan, {});
+  pump();
+  // The first op delivers to both boxes; every posted op delivers to `a`.
+  EXPECT_EQ(box_at(b).value, 1u);
+  EXPECT_EQ(box_at(a).value, 1u + 64 * 8);
+}
+
 class SmallBudgetTest : public RuntimeTest {
  protected:
   SmallBudgetTest() : RuntimeTest(1) {}  // 1 MB budget

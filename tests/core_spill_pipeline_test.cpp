@@ -341,6 +341,62 @@ TEST(SpillPipeline, ReadOnlyHandlerKeepsObjectClean) {
   EXPECT_EQ(h.rt->counters().bytes_spilled.load(), blob);
 }
 
+// Counts its departures from core in serialized state, and marks itself
+// dirty when it does, as MobileObject::on_unregister asks of such overrides.
+class DepartureCountingBox : public Box {
+ public:
+  std::uint64_t departures = 0;
+
+  void serialize(util::ByteWriter& out) const override {
+    Box::serialize(out);
+    out.write(departures);
+  }
+  void deserialize(util::ByteReader& in) override {
+    Box::deserialize(in);
+    departures = in.read<std::uint64_t>();
+  }
+  void on_unregister(Runtime&) override {
+    ++departures;
+    mark_dirty();
+  }
+};
+
+TEST(SpillPipeline, OnUnregisterMarkDirtyDefeatsElision) {
+  Harness h(/*budget_kb=*/256);
+  const TypeId type =
+      h.registry.register_type<DepartureCountingBox>("departures");
+  std::vector<MobilePtr> ptrs;
+  for (int i = 0; i < 8; ++i) {
+    auto [p, box] = h.rt->create<DepartureCountingBox>(type);
+    box->data.assign(8000, 3);
+    h.rt->refresh_footprint(p);
+    ptrs.push_back(p);
+  }
+  h.pump();
+  for (int pass = 0; pass < 3; ++pass) h.cycle_all(ptrs);
+
+  // Every eviction ran on_unregister, which dirtied the object: none may
+  // elide, or the blob it keeps predates the change.
+  const NodeCounters& c = h.rt->counters();
+  const std::uint64_t evictions =
+      c.objects_spilled.load() + c.spills_elided.load();
+  EXPECT_GE(evictions, 24u);
+  EXPECT_EQ(c.spills_elided.load(), 0u);
+
+  // Bring every box back without evicting any: together they must have
+  // kept every departure.
+  h.rt->set_memory_budget(std::size_t{64} << 20);
+  for (MobilePtr p : ptrs) h.rt->lock_in_core(p);
+  h.pump();
+  std::uint64_t kept = 0;
+  for (MobilePtr p : ptrs) {
+    auto* box = static_cast<DepartureCountingBox*>(h.rt->peek(p));
+    ASSERT_NE(box, nullptr);
+    kept += box->departures;
+  }
+  EXPECT_EQ(kept, evictions);
+}
+
 TEST(SpillPipeline, ForcedSpillModeDisablesElision) {
   RuntimeOptions options;
   options.synchronous_storage = true;
@@ -444,6 +500,36 @@ TEST(SpillPipeline, FailedStoreNeverLeavesElidableIdentity) {
   ASSERT_NE(obj, nullptr);
   EXPECT_EQ(static_cast<Box&>(*obj).value, 5u)
       << "reload served stale pre-mutation bytes";
+}
+
+TEST(SpillPipeline, LoadWantedDuringFailedStoreIsSatisfiedByReinstall) {
+  RuntimeOptions options;
+  options.synchronous_storage = true;
+  Harness h(/*budget_kb=*/16, options);
+  h.flaky->fail_all_stores = true;
+  const MobilePtr p = h.make_box(1500);
+  // Soft pressure spills the box; the store fails inline, and its completion
+  // waits for the next drain, so the entry is still storing when it is
+  // locked.
+  for (int i = 0; i < 10 && h.rt->counters().objects_spilled.load() == 0;
+       ++i) {
+    h.rt->progress_once();
+  }
+  ASSERT_FALSE(h.rt->is_in_core(p));
+  h.rt->lock_in_core(p);
+  h.rt->progress_once();  // drains the failed store: reinstalled in core
+  ASSERT_TRUE(h.rt->is_in_core(p));
+  EXPECT_EQ(h.rt->counters().spills_reinstalled.load(), 1u);
+
+  // The reinstall satisfied the lock's load request: nothing is pending, so
+  // the node must go idle.
+  h.rt->unlock(p);
+  h.flaky->fail_all_stores = false;
+  bool idle = false;
+  for (int i = 0; i < 1000 && !idle; ++i) {
+    if (!h.rt->progress_once()) idle = h.rt->is_idle();
+  }
+  EXPECT_TRUE(idle) << "a satisfied load request kept the node busy";
 }
 
 // ---------------------------------------------------------------------------
