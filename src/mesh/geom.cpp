@@ -1,31 +1,8 @@
 #include "mesh/geom.hpp"
 
 #include <algorithm>
-#include <limits>
 
 namespace mrts::mesh {
-
-std::optional<Point2> circumcenter(const Point2& a, const Point2& b,
-                                   const Point2& c) {
-  const double abx = b.x - a.x;
-  const double aby = b.y - a.y;
-  const double acx = c.x - a.x;
-  const double acy = c.y - a.y;
-  const double d = 2.0 * (abx * acy - aby * acx);
-  if (d == 0.0 || !std::isfinite(d)) return std::nullopt;
-  const double ab2 = abx * abx + aby * aby;
-  const double ac2 = acx * acx + acy * acy;
-  const double ux = (acy * ab2 - aby * ac2) / d;
-  const double uy = (abx * ac2 - acx * ab2) / d;
-  if (!std::isfinite(ux) || !std::isfinite(uy)) return std::nullopt;
-  return Point2{a.x + ux, a.y + uy};
-}
-
-double circumradius2(const Point2& a, const Point2& b, const Point2& c) {
-  const auto cc = circumcenter(a, b, c);
-  if (!cc) return std::numeric_limits<double>::infinity();
-  return dist2(*cc, a);
-}
 
 double min_angle_deg(const Point2& a, const Point2& b, const Point2& c) {
   auto angle_at = [](const Point2& v, const Point2& p, const Point2& q) {
@@ -42,10 +19,6 @@ double min_angle_deg(const Point2& a, const Point2& b, const Point2& c) {
 
 double shortest_edge(const Point2& a, const Point2& b, const Point2& c) {
   return std::sqrt(std::min({dist2(a, b), dist2(b, c), dist2(c, a)}));
-}
-
-double longest_edge(const Point2& a, const Point2& b, const Point2& c) {
-  return std::sqrt(std::max({dist2(a, b), dist2(b, c), dist2(c, a)}));
 }
 
 std::optional<std::pair<Point2, Point2>> clip_segment(const Point2& a,

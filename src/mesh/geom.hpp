@@ -5,7 +5,9 @@
 // through the robust predicates in predicates.hpp; the helpers here are
 // used for construction (circumcenters, midpoints) and measurement only.
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <optional>
 
 #include "mesh/predicates.hpp"
@@ -27,11 +29,29 @@ inline Point2 midpoint(const Point2& a, const Point2& b) {
 }
 
 /// Circumcenter of triangle abc; nullopt when (near-)degenerate.
-std::optional<Point2> circumcenter(const Point2& a, const Point2& b,
-                                   const Point2& c);
+inline std::optional<Point2> circumcenter(const Point2& a, const Point2& b,
+                                          const Point2& c) {
+  const double abx = b.x - a.x;
+  const double aby = b.y - a.y;
+  const double acx = c.x - a.x;
+  const double acy = c.y - a.y;
+  const double d = 2.0 * (abx * acy - aby * acx);
+  if (d == 0.0 || !std::isfinite(d)) return std::nullopt;
+  const double ab2 = abx * abx + aby * aby;
+  const double ac2 = acx * acx + acy * acy;
+  const double ux = (acy * ab2 - aby * ac2) / d;
+  const double uy = (abx * ac2 - acx * ab2) / d;
+  if (!std::isfinite(ux) || !std::isfinite(uy)) return std::nullopt;
+  return Point2{a.x + ux, a.y + uy};
+}
 
 /// Squared circumradius, infinity for degenerate triangles.
-double circumradius2(const Point2& a, const Point2& b, const Point2& c);
+inline double circumradius2(const Point2& a, const Point2& b,
+                            const Point2& c) {
+  const auto cc = circumcenter(a, b, c);
+  if (!cc) return std::numeric_limits<double>::infinity();
+  return dist2(*cc, a);
+}
 
 /// Smallest interior angle of triangle abc in degrees.
 double min_angle_deg(const Point2& a, const Point2& b, const Point2& c);
@@ -40,7 +60,9 @@ double min_angle_deg(const Point2& a, const Point2& b, const Point2& c);
 double shortest_edge(const Point2& a, const Point2& b, const Point2& c);
 
 /// Length of the longest edge.
-double longest_edge(const Point2& a, const Point2& b, const Point2& c);
+inline double longest_edge(const Point2& a, const Point2& b, const Point2& c) {
+  return std::sqrt(std::max({dist2(a, b), dist2(b, c), dist2(c, a)}));
+}
 
 /// True when p lies strictly inside the diametral circle of segment (a, b),
 /// i.e. p encroaches the subsegment (Ruppert's criterion). Points on the

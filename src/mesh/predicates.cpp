@@ -1,8 +1,7 @@
 #include "mesh/predicates.hpp"
 
 #include <atomic>
-#include <cmath>
-#include <cstddef>
+#include <utility>
 
 namespace mrts::mesh {
 namespace {
@@ -12,12 +11,7 @@ std::atomic<unsigned long long> g_exact_fallbacks{0};
 // --- error-free transformations -------------------------------------------
 // All assume round-to-nearest IEEE-754 doubles and no FMA contraction.
 
-constexpr double kEpsilon = 1.1102230246251565e-16;  // 2^-53
-constexpr double kSplitter = 134217729.0;            // 2^27 + 1
-
-// Filter constants from Shewchuk's predicates.c.
-constexpr double kCcwErrBoundA = (3.0 + 16.0 * kEpsilon) * kEpsilon;
-constexpr double kIccErrBoundA = (10.0 + 96.0 * kEpsilon) * kEpsilon;
+constexpr double kSplitter = 134217729.0;  // 2^27 + 1
 
 inline void two_sum(double a, double b, double& x, double& y) {
   x = a + b;
@@ -168,6 +162,10 @@ inline double expansion_sign(int len, const double* e) {
   return e[len - 1];
 }
 
+}  // namespace
+
+namespace detail {
+
 // --- orient2d ----------------------------------------------------------------
 
 double orient2d_exact(const Point2& pa, const Point2& pb, const Point2& pc) {
@@ -243,60 +241,7 @@ double incircle_exact(const Point2& pa, const Point2& pb, const Point2& pc,
   return expansion_sign(detlen, det);
 }
 
-}  // namespace
-
-double orient2d(const Point2& pa, const Point2& pb, const Point2& pc) {
-  const double detleft = (pa.x - pc.x) * (pb.y - pc.y);
-  const double detright = (pa.y - pc.y) * (pb.x - pc.x);
-  const double det = detleft - detright;
-
-  double detsum;
-  if (detleft > 0.0) {
-    if (detright <= 0.0) return det;
-    detsum = detleft + detright;
-  } else if (detleft < 0.0) {
-    if (detright >= 0.0) return det;
-    detsum = -detleft - detright;
-  } else {
-    return det;
-  }
-  const double errbound = kCcwErrBoundA * detsum;
-  if (det >= errbound || -det >= errbound) return det;
-  return orient2d_exact(pa, pb, pc);
-}
-
-double incircle(const Point2& pa, const Point2& pb, const Point2& pc,
-                const Point2& pd) {
-  const double adx = pa.x - pd.x;
-  const double bdx = pb.x - pd.x;
-  const double cdx = pc.x - pd.x;
-  const double ady = pa.y - pd.y;
-  const double bdy = pb.y - pd.y;
-  const double cdy = pc.y - pd.y;
-
-  const double bdxcdy = bdx * cdy;
-  const double cdxbdy = cdx * bdy;
-  const double alift = adx * adx + ady * ady;
-
-  const double cdxady = cdx * ady;
-  const double adxcdy = adx * cdy;
-  const double blift = bdx * bdx + bdy * bdy;
-
-  const double adxbdy = adx * bdy;
-  const double bdxady = bdx * ady;
-  const double clift = cdx * cdx + cdy * cdy;
-
-  const double det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) +
-                     clift * (adxbdy - bdxady);
-
-  const double permanent =
-      (std::fabs(bdxcdy) + std::fabs(cdxbdy)) * alift +
-      (std::fabs(cdxady) + std::fabs(adxcdy)) * blift +
-      (std::fabs(adxbdy) + std::fabs(bdxady)) * clift;
-  const double errbound = kIccErrBoundA * permanent;
-  if (det > errbound || -det > errbound) return det;
-  return incircle_exact(pa, pb, pc, pd);
-}
+}  // namespace detail
 
 unsigned long long predicate_exact_fallbacks() {
   return g_exact_fallbacks.load(std::memory_order_relaxed);

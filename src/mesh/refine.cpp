@@ -1,5 +1,6 @@
 #include "mesh/refine.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -36,19 +37,25 @@ DelaunayRefiner::DelaunayRefiner(Triangulation& tri, RefineOptions options)
 }
 
 bool DelaunayRefiner::is_poor(const TriRec& rec) const {
+  return is_poor(rec, nullptr);
+}
+
+bool DelaunayRefiner::is_poor(const TriRec& rec, const Point2* cc) const {
   const Point2& a = tri_.point(rec.v[0]);
   const Point2& b = tri_.point(rec.v[1]);
   const Point2& c = tri_.point(rec.v[2]);
-  const double r2 = circumradius2(a, b, c);
-  const double lmin2 = std::min({dist2(a, b), dist2(b, c), dist2(c, a)});
+  const double ab = dist2(a, b), bc = dist2(b, c), ca = dist2(c, a);
+  const double lmin2 = std::min({ab, bc, ca});
   if (lmin2 <= 0.0) return false;  // degenerate; nothing sane to do
-  if (r2 > ratio_bound2_ * lmin2) return true;
+  // Both tests are pure, so their order does not change the answer. The
+  // size test needs no division, so it runs first.
   if (options_.size_field) {
     const Point2 centroid{(a.x + b.x + c.x) / 3.0, (a.y + b.y + c.y) / 3.0};
     const double h = options_.size_field(centroid);
-    if (h > 0.0 && longest_edge(a, b, c) > h) return true;
+    if (h > 0.0 && std::sqrt(std::max({ab, bc, ca})) > h) return true;
   }
-  return false;
+  const double r2 = cc != nullptr ? dist2(*cc, a) : circumradius2(a, b, c);
+  return r2 > ratio_bound2_ * lmin2;
 }
 
 bool DelaunayRefiner::seg_encroached(TriId t, int edge) const {
@@ -83,29 +90,22 @@ bool DelaunayRefiner::seg_encroached(TriId t, int edge) const {
 void DelaunayRefiner::rescan() {
   seg_queue_.clear();
   tri_queue_.clear();
-  for (TriId t = 0; t < tri_.tri_slots(); ++t) {
-    const TriRec& rec = tri_.tri(t);
-    if (!rec.alive) continue;
-    for (int i = 0; i < 3; ++i) {
-      if (rec.seg[i] != kNoSeg && seg_encroached(t, i)) {
-        seg_queue_.push_back({t, i});
-      }
-    }
-    if (rec.inside && is_poor(rec)) tri_queue_.push_back(t);
-  }
+  for (TriId t = 0; t < tri_.tri_slots(); ++t) enqueue(t);
 }
 
 void DelaunayRefiner::enqueue_created() {
-  for (TriId t : tri_.last_created()) {
-    const TriRec& rec = tri_.tri(t);
-    if (!rec.alive) continue;
-    for (int i = 0; i < 3; ++i) {
-      if (rec.seg[i] != kNoSeg && seg_encroached(t, i)) {
-        seg_queue_.push_back({t, i});
-      }
+  for (TriId t : tri_.last_created()) enqueue(t);
+}
+
+void DelaunayRefiner::enqueue(TriId t) {
+  const TriRec& rec = tri_.tri(t);
+  if (!rec.alive) return;
+  for (int i = 0; i < 3; ++i) {
+    if (rec.seg[i] != kNoSeg && seg_encroached(t, i)) {
+      seg_queue_.push_back({t, i});
     }
-    if (rec.inside && is_poor(rec)) tri_queue_.push_back(t);
   }
+  if (rec.inside && is_poor(rec)) tri_queue_.push_back(t);
 }
 
 std::size_t DelaunayRefiner::process_segment_queue_entry() {
@@ -126,10 +126,10 @@ std::size_t DelaunayRefiner::process_triangle_queue_entry() {
   const TriId t = tri_queue_.front();
   tri_queue_.pop_front();
   const TriRec& rec = tri_.tri(t);
-  if (!rec.alive || !rec.inside || !is_poor(rec)) return 0;
+  if (!rec.alive || !rec.inside) return 0;
   const auto cc = circumcenter(tri_.point(rec.v[0]), tri_.point(rec.v[1]),
                                tri_.point(rec.v[2]));
-  if (!cc) return 0;  // degenerate triangle: skip
+  if (!cc || !is_poor(rec, &*cc)) return 0;  // degenerate or not poor: skip
   const InsertResult r =
       tri_.insert_point(*cc, t, /*guard_segments=*/true, &blocked_);
   switch (r.kind) {

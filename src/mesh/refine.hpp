@@ -25,7 +25,8 @@
 namespace mrts::mesh {
 
 /// Target element size as a function of position; values <= 0 or an empty
-/// function mean "no size constraint".
+/// function mean "no size constraint". The refiner may call it any number
+/// of times per triangle, so it must be a pure function of position.
 using SizeField = std::function<double(const Point2&)>;
 
 /// Uniform sizing: h everywhere.
@@ -75,7 +76,14 @@ class DelaunayRefiner {
   void rescan();
 
  private:
+  /// is_poor(); `cc`, when not null, is the circumcenter of `rec`, so the
+  /// radius-edge test need not compute it again.
+  [[nodiscard]] bool is_poor(const TriRec& rec, const Point2* cc) const;
   [[nodiscard]] bool seg_encroached(TriId t, int edge) const;
+  /// Queues the encroached subsegments of triangle t, then t itself if it
+  /// is inside and poor. The one per-triangle check of rescan() and
+  /// enqueue_created().
+  void enqueue(TriId t);
   void enqueue_created();
   /// Processes one encroached segment; returns vertices added (0 or 1).
   std::size_t process_segment_queue_entry();

@@ -271,8 +271,9 @@ class Triangulation {
   /// s.cavity and s.boundary.
   void build_cavity(const Point2& p, TriId t0, CavityScratch& s) const;
 
-  /// Replaces the cavity in `s` with a star around the new vertex.
-  void star_cavity(VertexId v, const CavityScratch& s);
+  /// Replaces the cavity in `s` with a star around the new vertex; links
+  /// the star in time linear in the cavity boundary.
+  void star_cavity(VertexId v, CavityScratch& s);
 
   std::vector<Point2> verts_;
   std::vector<VertexKind> kinds_;
