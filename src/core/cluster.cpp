@@ -16,8 +16,8 @@ namespace mrts::core {
 namespace {
 
 /// Longest a worker waits on its doorbell after a turn that found nothing
-/// to do: tick-driven work (retransmits, group-commit age-out, link latency)
-/// advances at least this often.
+/// to do: tick-driven work (retransmits, link latency) advances at least
+/// this often.
 constexpr auto kIdleWait = std::chrono::microseconds(50);
 /// Longest the detector waits between scans when no worker wakes it; bounds
 /// how late it notices max_run_time and the load-balance interval.
@@ -38,15 +38,6 @@ std::unique_ptr<storage::StorageBackend> make_spill_backend(
     case SpillMedium::kRemoteMemory:
       base = remote_pool->backend_for(node);
       break;
-    case SpillMedium::kSegmentLog: {
-      storage::LogStoreOptions lopts = options.log_store;
-      if (lopts.dir.empty() && !lopts.in_memory) {
-        lopts.dir = storage::make_temp_spill_dir(
-            options.spill_tag + "-seg-n" + std::to_string(node));
-      }
-      base = std::make_unique<storage::LogStore>(std::move(lopts));
-      break;
-    }
   }
   const bool modeled = options.disk_model.access_latency.count() > 0 ||
                        options.disk_model.bandwidth_bytes_per_sec > 0.0;

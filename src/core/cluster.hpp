@@ -11,9 +11,9 @@
 // whose progress_once() found nothing to do waits on its node's doorbell,
 // which the fabric rings when a message enters the node's inbox and the
 // runtime rings when one of its I/O completions is queued; the wait is
-// capped at 50 us so tick-driven work (retransmits, group-commit age-out,
-// link latency) keeps its cadence. The calling thread is the termination
-// detector. Workers wake it when their node goes idle, and it scans
+// capped at 50 us so tick-driven work (retransmits, link latency) keeps
+// its cadence. The calling thread is the termination detector. Workers
+// wake it when their node goes idle, and it scans
 // (idle flags, fabric delivery balance, activity counters); a run ends on
 // two consecutive scans that see every node idle, nothing in flight and the
 // same activity. Scans count only once every node has taken one turn in
@@ -45,7 +45,6 @@
 #include "storage/degraded_store.hpp"
 #include "storage/fault_store.hpp"
 #include "storage/latency_store.hpp"
-#include "storage/log_store.hpp"
 #include "storage/remote_store.hpp"
 #include "storage/replicated_store.hpp"
 #include "util/doorbell.hpp"
@@ -72,11 +71,11 @@ class StepObserver {
   [[nodiscard]] virtual bool quiescent() const { return true; }
 };
 
+/// Where a node's spill backend keeps evicted objects.
 enum class SpillMedium {
-  kFile,          // real files in a temp spill directory
+  kFile,          // one file per object in a temp spill directory
   kMemory,        // process-local map (fast; unit tests, baselines)
   kRemoteMemory,  // peers' RAM via the shared RemoteMemoryPool (paper [33])
-  kSegmentLog,    // log-structured segment store with group commit
 };
 
 struct ClusterOptions {
@@ -92,10 +91,6 @@ struct ClusterOptions {
   std::uint64_t remote_memory_capacity_bytes = 0;
   /// Tag used in spill directory names.
   std::string spill_tag = "mrts";
-  /// Engine options for SpillMedium::kSegmentLog. `dir` left empty gets a
-  /// per-node temp directory (like kFile); tests may pin it to reopen the
-  /// segments across cluster lifetimes.
-  storage::LogStoreOptions log_store;
   /// Safety limit for run(); exceeded runs stop and are marked timed_out.
   std::chrono::seconds max_run_time{600};
   /// Dynamic load balancing by the cluster monitor (paper §II.D).

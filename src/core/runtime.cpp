@@ -1081,10 +1081,6 @@ void Runtime::push_completion(Completion c) {
 }
 
 bool Runtime::drain_completions() {
-  // Advance the backend's virtual maintenance clock every pass — even when
-  // no completions are queued — so group-commit flush deadlines and
-  // compaction progress while the node computes.
-  store_.tick_backend(++storage_ticks_);
   if (completions_available_.load(std::memory_order_acquire) == 0) {
     return false;
   }
@@ -1111,10 +1107,6 @@ bool Runtime::drain_completions() {
                                           "loaded blob failed seal/content "
                                           "verification")
                            : c.status;
-      if (!options_.recovery.enabled) {
-        throw std::runtime_error("mrts: failed to load " + to_string(ptr) +
-                                 " from storage: " + cause.to_string());
-      }
       recover_failed_load(ptr, *e, cause);
     } else {
       --outstanding_stores_;
@@ -1132,10 +1124,6 @@ bool Runtime::drain_completions() {
           want_load(ptr, *e);
         }
         continue;
-      }
-      if (!options_.recovery.enabled) {
-        throw std::runtime_error("mrts: failed to spill " + to_string(ptr) +
-                                 ": " + c.status.to_string());
       }
       if (e == nullptr) continue;  // destroyed mid-flight; nothing to save
       if (e->state == Residency::kStoring) {

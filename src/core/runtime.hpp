@@ -94,14 +94,11 @@ struct RuntimeOptions {
   /// progress_once() free the budget. Hard-pressure evictions ignore the
   /// bound (memory must be freed now). 0 = unbounded.
   std::size_t write_behind_max_bytes = 8u << 20;
-  /// Storage-failure recovery (the self-healing path). When enabled,
-  /// exhausted loads and corrupt blobs never throw: the runtime walks a
-  /// recovery ladder (re-issued load → checkpoint copy → poison) and failed
-  /// spill-stores reinstall the object in core from the returned payload.
-  /// When disabled, such failures abort the run (the pre-recovery behavior,
-  /// kept for tests that pin fail-stop semantics).
+  /// Storage-failure recovery (the self-healing path): exhausted loads and
+  /// corrupt blobs never throw; the runtime walks a recovery ladder
+  /// (re-issued load → checkpoint copy → poison) and failed spill-stores
+  /// reinstall the object in core from the returned payload.
   struct Recovery {
-    bool enabled = true;
     /// Optional side store that receives a copy of every object blob written
     /// by checkpoint_to(); the ladder's second rung reads it back. Shared
     /// ownership: the cluster owns one per node, tests may inject their own.
@@ -787,11 +784,6 @@ class Runtime {
   std::uint64_t next_multicast_id_ = 1;
   int outstanding_loads_ = 0;
   int outstanding_stores_ = 0;
-  /// Virtual clock for storage-backend maintenance: one tick per
-  /// drain_completions pass. Deterministic under the chaos driver — the
-  /// log-structured engine's group-commit deadlines and compaction run as a
-  /// pure function of the control schedule, never wall time.
-  std::uint64_t storage_ticks_ = 0;
   /// Control-thread-owned: bytes of issued spill stores whose completions
   /// have not yet been drained. Bounds soft-pressure eviction (write-behind).
   std::size_t write_behind_inflight_bytes_ = 0;

@@ -3,8 +3,8 @@
 // Storage-layer backend interface (paper §II.D "storage layer"). The
 // underlying facility is hidden from the application: the runtime sees only
 // keyed blobs. Implementations: FileStore (real files on disk), MemStore
-// (in-memory, for tests), plus decorators adding modeled device latency and
-// injected faults.
+// (in-memory, for tests), RemoteMemoryPool views (peers' RAM), plus
+// decorators adding modeled device latency, injected faults and replication.
 
 #include <cstddef>
 #include <cstdint>
@@ -18,30 +18,14 @@ namespace mrts::storage {
 /// Globally unique identifier of a stored blob (the mobile object id).
 using ObjectKey = std::uint64_t;
 
-/// Byte counters maintained by every backend; used by the benches to report
-/// disk traffic. store/load/erase_ops count *logical* keyed operations; the
-/// device_* counters below count the physical device operations (syscalls,
-/// file writes, segment appends) issued to serve them — the unit the
-/// log-structured engine amortizes via group commit, and the number the
-/// "backend ops per spilled byte" gate compares across engines.
+/// Byte and op counters maintained by every backend; used by the benches to
+/// report disk traffic. store/load/erase_ops count keyed operations.
 struct BackendStats {
   std::uint64_t bytes_written = 0;
   std::uint64_t bytes_read = 0;
   std::uint64_t store_ops = 0;
   std::uint64_t load_ops = 0;
   std::uint64_t erase_ops = 0;
-  /// Physical writes: FileStore pays payload-write + truncate per store and
-  /// an unlink per erase; LogStore pays one append per group commit.
-  std::uint64_t device_write_ops = 0;
-  /// Physical reads: one per blob load (FileStore) or per segment-range
-  /// read / compaction scan (LogStore).
-  std::uint64_t device_read_ops = 0;
-  // --- log-structured engines only (storage/log_store.hpp) ---------------
-  std::uint64_t group_commits = 0;     // append-buffer commits to the device
-  std::uint64_t segments_sealed = 0;   // segments closed at target size
-  std::uint64_t compactions = 0;       // sealed segments rewritten/dropped
-  std::uint64_t compacted_bytes = 0;   // live framed bytes rewritten
-  std::uint64_t records_dropped = 0;   // dead records dropped by compaction
   // --- modeled device time (LatencyStore / DegradedStore) -----------------
   /// Accumulated *virtual* microseconds of modeled device cost, charged per
   /// op as a pure function of the op schedule (never wall clock). This is
@@ -60,9 +44,8 @@ class StorageBackend {
 
   /// Writes or overwrites the blob stored under `key`. A failed store may
   /// leave the key with no blob (kNotFound), but never serves a torn one as
-  /// stored. An overwrite need not be atomic across a crash: FileStore reads
-  /// only files it wrote itself and deletes them when destroyed; LogStore,
-  /// which reopens its segments, states its own crash contract.
+  /// stored. An overwrite need not be atomic across a crash: no backend
+  /// reopens spill data, and FileStore deletes its files when destroyed.
   virtual util::Status store(ObjectKey key, std::span<const std::byte> bytes) = 0;
 
   /// Move-aware store: a backend that keeps whole blobs (MemStore) adopts
@@ -90,14 +73,6 @@ class StorageBackend {
   virtual std::uint64_t stored_bytes() const = 0;
 
   virtual BackendStats stats() const = 0;
-
-  /// Deterministic maintenance hook, driven by the runtime's control loop in
-  /// virtual ticks (one per drain_completions pass) rather than by a
-  /// background thread, so everything a backend does under chaos replay is a
-  /// pure function of the op/tick schedule. Log-structured engines use it
-  /// for group-commit flushes and bounded compaction; blob-per-object
-  /// backends ignore it. Decorators must forward it to their inner store.
-  virtual void tick(std::uint64_t /*virtual_now*/) {}
 };
 
 }  // namespace mrts::storage

@@ -55,7 +55,6 @@ class DegradedStore final : public StorageBackend {
   std::size_t count() const override { return inner_->count(); }
   std::uint64_t stored_bytes() const override { return inner_->stored_bytes(); }
   BackendStats stats() const override;
-  void tick(std::uint64_t virtual_now) override { inner_->tick(virtual_now); }
 
   [[nodiscard]] const DegradedPlan& plan() const { return plan_; }
   /// Ops that fell inside an inflation window so far.

@@ -91,10 +91,6 @@ class FaultStore final : public StorageBackend {
   std::size_t count() const override { return inner_->count(); }
   std::uint64_t stored_bytes() const override { return inner_->stored_bytes(); }
   BackendStats stats() const override { return inner_->stats(); }
-  /// Maintenance passes are never faulted (they sit below the fault seam and
-  /// consume no fault RNG), so engine-internal compaction cannot perturb the
-  /// injected-fault schedule.
-  void tick(std::uint64_t virtual_now) override { inner_->tick(virtual_now); }
 
   /// Total faults injected across all kinds.
   [[nodiscard]] std::uint64_t injected_faults() const {

@@ -116,9 +116,6 @@ util::Status FileStore::store(ObjectKey key, std::span<const std::byte> bytes) {
   stored_bytes_ += bytes.size();
   stats_.bytes_written += bytes.size();
   ++stats_.store_ops;
-  // Blob-per-object pricing: the payload write and the truncate are
-  // separate physical operations.
-  stats_.device_write_ops += 2;
   return util::Status::ok();
 }
 
@@ -159,7 +156,6 @@ util::Result<std::vector<std::byte>> FileStore::load(ObjectKey key) {
   std::lock_guard lock(mutex_);
   stats_.bytes_read += payload;
   ++stats_.load_ops;
-  ++stats_.device_read_ops;
   return bytes;
 }
 
@@ -173,7 +169,6 @@ util::Status FileStore::erase(ObjectKey key) {
     stored_bytes_ -= it->second;
     sizes_.erase(it);
     ++stats_.erase_ops;
-    ++stats_.device_write_ops;  // the unlink
   }
   std::error_code ec;
   fs::remove(path_for(key), ec);

@@ -39,7 +39,6 @@ class LatencyStore final : public StorageBackend {
   /// virtual_*_latency_us fields, so health scoring and the stall figures
   /// see the device model without timing real sleeps.
   BackendStats stats() const override;
-  void tick(std::uint64_t virtual_now) override { inner_->tick(virtual_now); }
 
   [[nodiscard]] const DeviceModel& model() const { return model_; }
 

@@ -10,7 +10,6 @@ util::Status MemStore::store(ObjectKey key, std::span<const std::byte> bytes) {
   stored_bytes_ += slot.size();
   stats_.bytes_written += bytes.size();
   ++stats_.store_ops;
-  ++stats_.device_write_ops;  // one "device" op per blob, like a simple KV
   return util::Status::ok();
 }
 
@@ -24,7 +23,6 @@ util::Status MemStore::store(ObjectKey key, std::vector<std::byte>&& bytes) {
   slot = std::move(bytes);
   stored_bytes_ += slot.size();
   ++stats_.store_ops;
-  ++stats_.device_write_ops;
   return util::Status::ok();
 }
 
@@ -36,7 +34,6 @@ util::Result<std::vector<std::byte>> MemStore::load(ObjectKey key) {
   }
   stats_.bytes_read += it->second.size();
   ++stats_.load_ops;
-  ++stats_.device_read_ops;
   return it->second;
 }
 
@@ -49,7 +46,6 @@ util::Status MemStore::erase(ObjectKey key) {
   stored_bytes_ -= it->second.size();
   blobs_.erase(it);
   ++stats_.erase_ops;
-  ++stats_.device_write_ops;
   return util::Status::ok();
 }
 

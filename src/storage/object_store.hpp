@@ -75,10 +75,6 @@ class ObjectStore {
 
   [[nodiscard]] std::size_t pending() const;
   [[nodiscard]] const StorageBackend& backend() const { return *backend_; }
-  /// Forwards a virtual maintenance tick to the backend stack (group-commit
-  /// flush deadlines, bounded compaction). Called by the runtime's control
-  /// loop, once per drain_completions pass.
-  void tick_backend(std::uint64_t virtual_now) { backend_->tick(virtual_now); }
   [[nodiscard]] std::uint64_t retries_performed() const;
   /// Total backoff computed by the retry policy, in microseconds. In
   /// synchronous (deterministic) mode this is virtual time only — nothing

@@ -87,11 +87,6 @@ class ReplicatedStore final : public StorageBackend {
   std::uint64_t stored_bytes() const override;
   /// Primary-device view (what the paper's disk-traffic figures chart).
   BackendStats stats() const override;
-  void tick(std::uint64_t virtual_now) override {
-    std::lock_guard lock(mutex_);
-    primary_->tick(virtual_now);
-    mirror_->tick(virtual_now);
-  }
 
   [[nodiscard]] ReplicatedStats replicated_stats() const;
   [[nodiscard]] const StorageBackend& primary() const { return *primary_; }

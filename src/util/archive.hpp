@@ -35,9 +35,9 @@ class ArchiveError : public std::runtime_error {
 /// Two modes share one write API:
 ///   - owning (default): writes land in an internal vector, moved out via
 ///     take(). The classic serialize-then-send staging buffer.
-///   - sink: constructed over an external vector (an open batch frame, a
-///     group-commit buffer), writes append to it directly — the zero-copy
-///     path. take() is invalid in sink mode; the sink owner keeps the bytes.
+///   - sink: constructed over an external vector (an open batch frame),
+///     writes append to it directly — the zero-copy path. take() is
+///     invalid in sink mode; the sink owner keeps the bytes.
 ///
 /// Length-prefixed framing that is only known after the fact is handled with
 /// write_placeholder<T>() + patch<T>(): reserve the field, write the body,

@@ -301,10 +301,9 @@ TEST(ClusterLifecycle, DestroyAfterARunOrWithoutOneExitsCleanly) {
   }
 }
 
-TEST(ClusterLifecycle, DestroyRemovesFileAndSegmentLogSpillDirectories) {
-  // Each node of a kFile or kSegmentLog cluster spills into its own
-  // mrts-<tag>-* directory under the temp path; a destroyed cluster leaves
-  // none of them behind.
+TEST(ClusterLifecycle, DestroyRemovesFileSpillDirectories) {
+  // Each node of a kFile cluster spills into its own mrts-<tag>-* directory
+  // under the temp path; a destroyed cluster leaves none of them behind.
   namespace fs = std::filesystem;
   const auto entries_tagged = [](const std::string& tag) {
     const std::string prefix = "mrts-" + tag + "-";
@@ -314,37 +313,32 @@ TEST(ClusterLifecycle, DestroyRemovesFileAndSegmentLogSpillDirectories) {
     }
     return n;
   };
-  for (const SpillMedium medium :
-       {SpillMedium::kFile, SpillMedium::kSegmentLog}) {
-    ClusterOptions options;
-    options.nodes = 2;
-    options.spill = medium;
-    options.spill_tag = "rmdir" + std::to_string(static_cast<int>(medium)) +
-                        "-" + std::to_string(::getpid());
-    options.runtime.ooc.memory_budget_bytes = 1u << 20;
-    options.max_run_time = std::chrono::seconds(120);
-    {
-      Cluster cluster(options);
-      const TypeId type = cluster.registry().register_type<Box>("box");
-      const HandlerId add = cluster.registry().register_handler(
-          type, [](Runtime&, MobileObject& obj, MobilePtr, NodeId,
-                   util::ByteReader& in) {
-            static_cast<Box&>(obj).value += in.read<std::uint64_t>();
-          });
-      // 32 objects of ~80 KB against a 1 MB budget: most must spill.
-      for (int i = 0; i < 32; ++i) {
-        auto [p, box] = cluster.node(0).create<Box>(type);
-        box->data.assign(10000, static_cast<std::uint64_t>(i));
-        cluster.node(0).refresh_footprint(p);
-        cluster.node(1).send(p, add, arg_u64(1));
-      }
-      ASSERT_FALSE(cluster.run().timed_out);
-      ASSERT_GT(cluster.node(0).counters().objects_spilled.load(), 0u);
-      EXPECT_EQ(entries_tagged(options.spill_tag), options.nodes);
+  ClusterOptions options;
+  options.nodes = 2;
+  options.spill = SpillMedium::kFile;
+  options.spill_tag = "rmdir-" + std::to_string(::getpid());
+  options.runtime.ooc.memory_budget_bytes = 1u << 20;
+  options.max_run_time = std::chrono::seconds(120);
+  {
+    Cluster cluster(options);
+    const TypeId type = cluster.registry().register_type<Box>("box");
+    const HandlerId add = cluster.registry().register_handler(
+        type, [](Runtime&, MobileObject& obj, MobilePtr, NodeId,
+                 util::ByteReader& in) {
+          static_cast<Box&>(obj).value += in.read<std::uint64_t>();
+        });
+    // 32 objects of ~80 KB against a 1 MB budget: most must spill.
+    for (int i = 0; i < 32; ++i) {
+      auto [p, box] = cluster.node(0).create<Box>(type);
+      box->data.assign(10000, static_cast<std::uint64_t>(i));
+      cluster.node(0).refresh_footprint(p);
+      cluster.node(1).send(p, add, arg_u64(1));
     }
-    EXPECT_EQ(entries_tagged(options.spill_tag), 0u)
-        << "spill medium " << static_cast<int>(medium);
+    ASSERT_FALSE(cluster.run().timed_out);
+    ASSERT_GT(cluster.node(0).counters().objects_spilled.load(), 0u);
+    EXPECT_EQ(entries_tagged(options.spill_tag), options.nodes);
   }
+  EXPECT_EQ(entries_tagged(options.spill_tag), 0u);
 }
 
 class OocClusterTest : public ClusterTest {

@@ -71,18 +71,16 @@ struct Harness {
   TypeId type = 0;
   HandlerId h_add = 0;
 
-  explicit Harness(storage::FaultPlan plan, std::size_t budget_kb = 256,
-                   bool recovery_enabled = true)
+  explicit Harness(storage::FaultPlan plan, std::size_t budget_kb = 256)
       : Harness(std::make_unique<storage::FaultStore>(
                     std::make_unique<storage::MemStore>(), std::move(plan)),
-                budget_kb, recovery_enabled) {}
+                budget_kb) {}
 
   explicit Harness(std::unique_ptr<storage::StorageBackend> backend,
-                   std::size_t budget_kb = 256, bool recovery_enabled = true) {
+                   std::size_t budget_kb = 256) {
     RuntimeOptions options;
     options.ooc.memory_budget_bytes = budget_kb << 10;
     options.storage_retry.max_retries = 12;  // ride out bursts of injected faults
-    options.recovery.enabled = recovery_enabled;
     rt = std::make_unique<Runtime>(0, fabric.endpoint(0), registry,
                                    std::move(backend), options);
     type = registry.register_type<Box>("box");
@@ -210,30 +208,6 @@ TEST(FaultInjection, CorruptReloadIsRejectedOnTheIoThreadAndHealedByRetry) {
   ASSERT_NE(box, nullptr);
   EXPECT_EQ(box->value, 5u);
   EXPECT_EQ(box->data, std::vector<std::uint64_t>(8000, 3));
-}
-
-TEST(FaultInjection, CorruptedBlobThrowsWhenRecoveryDisabled) {
-  // With the recovery ladder switched off the legacy contract holds: the
-  // CRC check throws rather than deserializing garbage.
-  Harness h(storage::FaultPlan{.corruption_rate = 1.0, .seed = 7}, 256,
-            /*recovery_enabled=*/false);
-  std::vector<MobilePtr> ptrs;
-  for (int i = 0; i < 16; ++i) ptrs.push_back(h.make_box(8000));
-  h.pump();
-  h.rt->flush_stores();
-  MobilePtr cold = kNullPtr;
-  for (MobilePtr p : ptrs) {
-    if (!h.rt->is_in_core(p)) cold = p;
-  }
-  ASSERT_FALSE(cold.is_null()) << "budget did not force any spills";
-  h.rt->send(cold, h.h_add, Harness::arg_u64(1));
-  EXPECT_THROW(
-      {
-        for (int i = 0; i < 100000; ++i) {
-          h.rt->progress_once();
-        }
-      },
-      std::runtime_error);
 }
 
 }  // namespace

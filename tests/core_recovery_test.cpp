@@ -2,16 +2,21 @@
 // re-issues the failed load synchronously, rung 2 reads the per-object
 // checkpoint copy (accepted only on exact content identity), rung 3
 // quarantines the object (poison) — and failed spills reinstall the object
-// in core from the payload the storage layer hands back.
+// in core from the payload the storage layer hands back. The last tests
+// corrupt a real FileStore spill file on disk and pin the same outcomes.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <filesystem>
+#include <fstream>
 #include <memory>
 
 #include "core/runtime.hpp"
 #include "simnet/fabric.hpp"
+#include "storage/file_store.hpp"
 #include "storage/mem_store.hpp"
+#include "util/format.hpp"
 
 namespace mrts::core {
 namespace {
@@ -90,7 +95,10 @@ struct Harness {
   TypeId type = 0;
   HandlerId h_add = 0;
 
-  explicit Harness(std::size_t budget_kb, bool with_checkpoint_store) {
+  /// `inner` is the spill device under the scripted faults.
+  Harness(std::size_t budget_kb, bool with_checkpoint_store,
+          std::unique_ptr<storage::StorageBackend> inner =
+              std::make_unique<storage::MemStore>()) {
     RuntimeOptions options;
     options.ooc.memory_budget_bytes = budget_kb << 10;
     options.storage_retry.max_retries = 0;  // one attempt: faults are scripted
@@ -98,8 +106,7 @@ struct Harness {
       checkpoint_store = std::make_shared<storage::MemStore>();
       options.recovery.checkpoint_store = checkpoint_store;
     }
-    auto backend = std::make_unique<FlakyStore>(
-        std::make_unique<storage::MemStore>());
+    auto backend = std::make_unique<FlakyStore>(std::move(inner));
     flaky = backend.get();
     rt = std::make_unique<Runtime>(0, fabric.endpoint(0), registry,
                                    std::move(backend), options);
@@ -278,6 +285,76 @@ TEST(RecoveryLadder, FailedSpillReinstallsTheObjectInCore) {
     if (rec.resolution == FailureResolution::kReinstalled) ledgered = true;
   }
   EXPECT_TRUE(ledgered);
+}
+
+// --- on-disk corruption of a real spill file --------------------------------
+
+/// Flips one payload byte of `key`'s spill file in `dir`, leaving the CRC-32
+/// trailer FileStore wrote after it.
+void corrupt_spill_file(const std::filesystem::path& dir,
+                        storage::ObjectKey key) {
+  const auto path = dir / util::format("{:016x}.mob", key);
+  const std::uintmax_t payload =
+      std::filesystem::file_size(path) - sizeof(std::uint32_t);
+  const auto at = static_cast<std::streamoff>(payload / 2);
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  char byte = 0;
+  f.seekg(at);
+  f.read(&byte, 1);
+  byte ^= 0x40;
+  f.seekp(at);
+  f.write(&byte, 1);
+  ASSERT_TRUE(f.good()) << path;
+}
+
+TEST(RecoveryLadder, CorruptSpillFileRoutesIntoCheckpointRecovery) {
+  auto files = std::make_unique<storage::FileStore>(
+      storage::make_temp_spill_dir("recovery-ladder"));
+  const std::filesystem::path dir = files->directory();
+  Harness h(/*budget_kb=*/256, /*with_checkpoint_store=*/true,
+            std::move(files));
+  std::vector<MobilePtr> ptrs;
+  for (int i = 0; i < 8; ++i) ptrs.push_back(h.make_box(8000));
+  h.pump();
+  const MobilePtr cold = h.find_cold(ptrs);
+  ASSERT_FALSE(cold.is_null()) << "budget did not force any spills";
+
+  util::ByteWriter image;
+  ASSERT_TRUE(h.rt->checkpoint_to(image).is_ok());
+  corrupt_spill_file(dir, cold.id);
+
+  h.rt->send(cold, h.h_add, Harness::arg_u64(9));
+  h.pump();
+
+  EXPECT_EQ(h.rt->counters().checkpoint_recoveries.load(), 1u);
+  EXPECT_EQ(h.rt->object_health(cold), ObjectHealth::kHealthy);
+  auto* obj = h.rt->peek(cold);
+  ASSERT_NE(obj, nullptr);
+  EXPECT_EQ(static_cast<Box&>(*obj).value, 9u);
+  EXPECT_EQ(h.rt->counters().objects_poisoned.load(), 0u);
+}
+
+TEST(RecoveryLadder, CorruptSpillFileWithoutCheckpointPoisonsNotHangs) {
+  auto files = std::make_unique<storage::FileStore>(
+      storage::make_temp_spill_dir("recovery-ladder"));
+  const std::filesystem::path dir = files->directory();
+  Harness h(/*budget_kb=*/256, /*with_checkpoint_store=*/false,
+            std::move(files));
+  std::vector<MobilePtr> ptrs;
+  for (int i = 0; i < 8; ++i) ptrs.push_back(h.make_box(8000));
+  h.pump();
+  const MobilePtr cold = h.find_cold(ptrs);
+  ASSERT_FALSE(cold.is_null()) << "budget did not force any spills";
+
+  corrupt_spill_file(dir, cold.id);
+  h.rt->send(cold, h.h_add, Harness::arg_u64(9));
+  h.pump();
+
+  // Last rung: the loss is recorded and quarantined, the node stays live.
+  EXPECT_EQ(h.rt->object_health(cold), ObjectHealth::kPoisoned);
+  EXPECT_GE(h.rt->counters().objects_poisoned.load(), 1u);
+  EXPECT_TRUE(h.rt->is_idle());
+  EXPECT_TRUE(has_record(*h.rt, cold, FailureResolution::kPoisoned));
 }
 
 }  // namespace

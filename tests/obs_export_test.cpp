@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <set>
@@ -154,7 +157,18 @@ TEST_F(ExportTest, ChaosRunProducesValidChromeTrace) {
 
 TEST_F(ExportTest, WriteChromeTraceRoundTripsThroughAFile) {
   (void)record_chaos_trace();
-  const std::string path = ::testing::TempDir() + "/obs_export_test_trace.json";
+  // Under TMPDIR, unique per process, and removed however the test ends.
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("obs_export_test_trace-" + std::to_string(::getpid()) + ".json"))
+          .string();
+  const struct RemoveOnExit {
+    std::string path;
+    ~RemoveOnExit() {
+      std::error_code ec;
+      std::filesystem::remove(path, ec);
+    }
+  } cleanup{path};
   const util::Status st = write_chrome_trace(path);
   ASSERT_TRUE(st.is_ok()) << st.to_string();
   std::ifstream in(path, std::ios::binary);
