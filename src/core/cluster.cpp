@@ -23,10 +23,20 @@ constexpr auto kIdleWait = std::chrono::microseconds(50);
 /// how late it notices max_run_time and the load-balance interval.
 constexpr auto kScanFallback = std::chrono::microseconds(200);
 
-std::unique_ptr<storage::StorageBackend> make_spill_backend(
-    const ClusterOptions& options, NodeId node,
-    storage::RemoteMemoryPool* remote_pool) {
+/// One node's spill stack, and whether the node runs it inline.
+struct SpillStack {
+  std::unique_ptr<storage::StorageBackend> backend;
+  /// The stack is a bare MemStore. It has no device time for an I/O thread
+  /// to overlap, and it answers only OK or kNotFound, so running it on the
+  /// node's own thread skips no retry backoff. Every decorator below either
+  /// sleeps, fails transiently or hedges, and keeps the I/O thread.
+  bool inline_io = false;
+};
+
+SpillStack make_spill_backend(const ClusterOptions& options, NodeId node,
+                              storage::RemoteMemoryPool* remote_pool) {
   std::unique_ptr<storage::StorageBackend> base;
+  const storage::StorageBackend* bare_memory = nullptr;
   switch (options.spill) {
     case SpillMedium::kFile:
       base = std::make_unique<storage::FileStore>(storage::make_temp_spill_dir(
@@ -34,6 +44,7 @@ std::unique_ptr<storage::StorageBackend> make_spill_backend(
       break;
     case SpillMedium::kMemory:
       base = std::make_unique<storage::MemStore>();
+      bare_memory = base.get();
       break;
     case SpillMedium::kRemoteMemory:
       base = remote_pool->backend_for(node);
@@ -73,7 +84,8 @@ std::unique_ptr<storage::StorageBackend> make_spill_backend(
     base = std::make_unique<storage::ReplicatedStore>(
         std::move(base), std::make_unique<storage::MemStore>(), ropts);
   }
-  return base;
+  const bool inline_io = base.get() == bare_memory;  // nothing stacked on it
+  return {std::move(base), inline_io};
 }
 
 std::vector<BusyTimes> busy_snapshot(
@@ -151,9 +163,11 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
       node_options.recovery.checkpoint_store =
           std::make_shared<storage::MemStore>();
     }
+    SpillStack spill = make_spill_backend(options_, id, remote_pool_.get());
+    node_options.synchronous_storage |= spill.inline_io;
     runtimes_.push_back(std::make_unique<Runtime>(
-        id, fabric_->endpoint(id), registry_,
-        make_spill_backend(options_, id, remote_pool_.get()), node_options));
+        id, fabric_->endpoint(id), registry_, std::move(spill.backend),
+        node_options));
   }
 }
 

@@ -83,8 +83,9 @@ void ObjectStore::backoff(ObjectKey key, int attempt) {
   if (delay.count() <= 0) return;
   backoff_us_.fetch_add(static_cast<std::uint64_t>(delay.count()),
                         std::memory_order_relaxed);
-  // Synchronous mode runs on the deterministic driver's virtual clock:
-  // account for the delay but never sleep, so replay stays byte-identical.
+  // Synchronous mode runs on the deterministic driver's virtual clock (or
+  // over a bare MemStore, which never fails transiently): account for the
+  // delay but never sleep, so replay stays byte-identical.
   if (!options_.synchronous) std::this_thread::sleep_for(delay);
 }
 

@@ -5,6 +5,8 @@
 // serialization traffic overlaps with computation and communication — the
 // property measured as "Overlap" in the paper's Tables IV-VI. Busy time of
 // the I/O thread is charged to a TimeAccumulator supplied by the runtime.
+// A synchronous store (ObjectStoreOptions::synchronous) has no I/O thread
+// and serves the same interface inline.
 
 #include <atomic>
 #include <condition_variable>
@@ -39,7 +41,10 @@ struct ObjectStoreOptions {
   /// Execute requests inline on the calling thread instead of on the I/O
   /// thread (no thread is spawned). Callbacks run before store_async /
   /// load_async return. Used by the deterministic chaos driver, where I/O
-  /// completion order must be a pure function of the control schedule.
+  /// completion order must be a pure function of the control schedule, and
+  /// for a backend with no device time to overlap (a cluster node whose
+  /// spill stack is a bare MemStore). Retry backoff is then virtual time:
+  /// nothing sleeps.
   bool synchronous = false;
   /// Trace track (node id) that this store's spans and queue-depth samples
   /// are attributed to.

@@ -1,7 +1,8 @@
 // Multi-node tests of the MRTS cluster: remote messaging, the lazy-update
 // distributed directory, migration, multicast collection, termination
-// detection, the threaded driver's worker lifecycle, and out-of-core
-// behaviour under remote traffic.
+// detection, the threaded driver's worker lifecycle, which spill stacks run
+// their storage inline, and out-of-core behaviour under remote traffic on
+// an inline (kMemory) and a threaded (kFile) stack.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "core/cluster.hpp"
 
@@ -44,11 +46,15 @@ std::vector<std::byte> arg_u64(std::uint64_t v) {
 
 class ClusterTest : public ::testing::Test {
  protected:
-  explicit ClusterTest(std::size_t nodes = 4, std::size_t budget_mb = 64) {
+  explicit ClusterTest(std::size_t nodes = 4, std::size_t budget_mb = 64,
+                       SpillMedium spill = SpillMedium::kMemory) {
     ClusterOptions options;
     options.nodes = nodes;
     options.runtime.ooc.memory_budget_bytes = budget_mb << 20;
-    options.spill = SpillMedium::kMemory;
+    options.spill = spill;
+    // kFile spill directories go under the temp path and are removed with
+    // the cluster.
+    options.spill_tag = "cluster-test-" + std::to_string(::getpid());
     options.max_run_time = std::chrono::seconds(120);
     cluster_ = std::make_unique<Cluster>(options);
     type_ = cluster_->registry().register_type<Box>("box");
@@ -341,12 +347,80 @@ TEST(ClusterLifecycle, DestroyRemovesFileSpillDirectories) {
   EXPECT_EQ(entries_tagged(options.spill_tag), 0u);
 }
 
-class OocClusterTest : public ClusterTest {
+TEST(ClusterSpillStack, OnlyABareMemoryStackRunsStorageInline) {
+  // Per node: does its runtime do its storage inline (no I/O thread)?
+  const auto inline_nodes = [](const ClusterOptions& options) {
+    Cluster cluster(options);
+    std::vector<bool> out;
+    for (std::size_t i = 0; i < cluster.size(); ++i) {
+      out.push_back(
+          cluster.node(static_cast<NodeId>(i)).options().synchronous_storage);
+    }
+    return out;
+  };
+  ClusterOptions bare;
+  bare.nodes = 2;
+  bare.spill = SpillMedium::kMemory;
+  bare.spill_tag = "inline-" + std::to_string(::getpid());
+  EXPECT_EQ(inline_nodes(bare), std::vector<bool>({true, true}));
+
+  // Every other stack keeps the I/O thread that overlaps its device time,
+  // its transient failures' backoff, or its hedged reads.
+  ClusterOptions file = bare;
+  file.spill = SpillMedium::kFile;
+  EXPECT_EQ(inline_nodes(file), std::vector<bool>({false, false}));
+  ClusterOptions remote = bare;
+  remote.spill = SpillMedium::kRemoteMemory;
+  EXPECT_EQ(inline_nodes(remote), std::vector<bool>({false, false}));
+  ClusterOptions modeled = bare;
+  modeled.disk_model.access_latency = std::chrono::microseconds(10);
+  EXPECT_EQ(inline_nodes(modeled), std::vector<bool>({false, false}));
+  ClusterOptions degraded = bare;  // node 1 has no plan: its stack is bare
+  degraded.degraded_storage.resize(1);
+  degraded.degraded_storage[0].base_op_us = 10;
+  EXPECT_EQ(inline_nodes(degraded), std::vector<bool>({false, true}));
+  ClusterOptions faulted = bare;
+  faulted.storage_faults = storage::FaultPlan{};
+  EXPECT_EQ(inline_nodes(faulted), std::vector<bool>({false, false}));
+  ClusterOptions replicated = bare;
+  replicated.replicate_spills = true;
+  EXPECT_EQ(inline_nodes(replicated), std::vector<bool>({false, false}));
+
+  // Inline means a spill has landed on the store by the time the call that
+  // issued it returns, with no run and no drain in between.
+  bare.runtime.ooc.memory_budget_bytes = 1u << 20;
+  Cluster cluster(bare);
+  const TypeId type = cluster.registry().register_type<Box>("box");
+  Runtime& rt = cluster.node(0);
+  for (int i = 0; i < 8; ++i) {
+    auto [p, box] = rt.create<Box>(type);
+    box->data.assign(10000, static_cast<std::uint64_t>(i));
+    rt.refresh_footprint(p);
+  }
+  rt.set_memory_budget(1u << 10);
+  EXPECT_GT(rt.spill_backend().count(), 0u);
+  ASSERT_FALSE(cluster.run().timed_out);
+  EXPECT_EQ(rt.write_behind_inflight_bytes(), 0u);
+}
+
+// A bare kMemory stack runs its storage inline on the node threads; kFile
+// keeps the I/O thread, so the same cases still drive stores and loads that
+// complete on another thread while the node works (and, for
+// LeftoverIdleFlagsCannotEndTheNextRun, while the next run starts).
+class OocClusterTest : public ClusterTest,
+                       public ::testing::WithParamInterface<SpillMedium> {
  protected:
-  OocClusterTest() : ClusterTest(2, /*budget_mb=*/1) {}
+  OocClusterTest() : ClusterTest(2, /*budget_mb=*/1, GetParam()) {}
 };
 
-TEST_F(OocClusterTest, RemoteTrafficDrivesSwapping) {
+INSTANTIATE_TEST_SUITE_P(
+    Media, OocClusterTest,
+    ::testing::Values(SpillMedium::kMemory, SpillMedium::kFile),
+    [](const ::testing::TestParamInfo<SpillMedium>& info) {
+      return std::string(info.param == SpillMedium::kFile ? "File" : "Memory");
+    });
+
+TEST_P(OocClusterTest, RemoteTrafficDrivesSwapping) {
   // Fill node 0 with ~80 KB objects well past its 1 MB budget, then hammer
   // them with remote messages from node 1.
   std::vector<MobilePtr> ptrs;
@@ -384,7 +458,7 @@ TEST_F(OocClusterTest, RemoteTrafficDrivesSwapping) {
   }
 }
 
-TEST_F(OocClusterTest, LeftoverIdleFlagsCannotEndTheNextRun) {
+TEST_P(OocClusterTest, LeftoverIdleFlagsCannotEndTheNextRun) {
   // After a run every node's idle flag reads true. Shrinking a budget
   // between runs issues spill stores from the calling thread without
   // touching that flag, so a detector that scanned before every node took
@@ -416,7 +490,7 @@ TEST_F(OocClusterTest, LeftoverIdleFlagsCannotEndTheNextRun) {
   }
 }
 
-TEST_F(OocClusterTest, BreakdownCountersPopulated) {
+TEST_P(OocClusterTest, BreakdownCountersPopulated) {
   std::vector<MobilePtr> ptrs;
   for (int i = 0; i < 16; ++i) {
     auto [p, box] = cluster_->node(0).create<Box>(type_);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "core/runtime.hpp"
 #include "simnet/fabric.hpp"
 #include "storage/mem_store.hpp"
@@ -238,6 +241,30 @@ TEST_F(SmallBudgetTest, LockedObjectIsNeverEvicted) {
   rt_->flush_stores();
   EXPECT_TRUE(rt_->is_in_core(pinned));
   rt_->unlock(pinned);
+}
+
+TEST_F(SmallBudgetTest, UnbalancedUnlockThrowsAndLeavesTheObjectEvictable) {
+  // Two ~160 KB boxes. An unlock with no lock to release must fail in every
+  // build type: a count driven below zero would pin the object for good.
+  const MobilePtr never_locked = make_box(20000);
+  const MobilePtr locked_once = make_box(20000);
+  try {
+    rt_->unlock(never_locked);
+    ADD_FAILURE() << "unlock() of an unlocked object did not throw";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find(to_string(never_locked)),
+              std::string::npos)
+        << e.what();
+  }
+  rt_->lock_in_core(locked_once);
+  rt_->unlock(locked_once);
+  EXPECT_THROW(rt_->unlock(locked_once), std::logic_error);
+
+  rt_->set_memory_budget(1u << 10);
+  pump();
+  rt_->flush_stores();
+  EXPECT_FALSE(rt_->is_in_core(never_locked));
+  EXPECT_FALSE(rt_->is_in_core(locked_once));
 }
 
 TEST_F(SmallBudgetTest, LowPriorityEvictedBeforeHigh) {
