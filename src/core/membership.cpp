@@ -85,11 +85,21 @@ bool MembershipManager::quiescent() const {
   // A pending event, an unresolved speculation window, or an unfinished
   // drain all veto termination: a scheduled rejoin in particular must fire
   // even if the workload already looks drained (the killed node's parked
-  // traffic only flows once it is back Up).
+  // traffic only flows once it is back Up). A drain yields only when every
+  // object left on its node is held there by application locks: no run can
+  // move those, and the drain resumes in the run after their unlock().
   if (next_event_ < options_.events.size()) return false;
   if (!steals_.empty()) return false;
-  for (const NodeInfo& n : nodes_) {
-    if (n.state == MembershipState::kDraining) return false;
+  for (NodeId id = 0; id < static_cast<NodeId>(nodes_.size()); ++id) {
+    if (nodes_[id].state != MembershipState::kDraining) continue;
+    const Runtime& rt = cluster_->node(id);
+    const std::vector<MobilePtr> left = hosted_objects(id);
+    if (left.empty() ||
+        !std::all_of(left.begin(), left.end(), [&](MobilePtr p) {
+          return rt.migration_held_by_locks(p);
+        })) {
+      return false;
+    }
   }
   return inner_ == nullptr || inner_->quiescent();
 }
@@ -188,6 +198,9 @@ void MembershipManager::advance_drains(std::uint64_t step) {
     std::size_t issued = 0;
     for (MobilePtr p : hosted) {
       if (issued >= options_.drain_objects_per_step) break;
+      // Its migration is pending and waits for the application's unlock();
+      // move the others meanwhile.
+      if (rt.migration_held_by_locks(p)) continue;
       const NodeId target = next_target(id);
       if (target == id) break;  // no accepting survivor yet; retry next sweep
       // Repeated migrate() on a still-pending object just coalesces, so

@@ -18,7 +18,10 @@
 //                   handoff then seeds its location knowledge into every
 //                   survivor. A drained node is *departed*: it never polls
 //                   again, so stale routes naming it are re-aimed through
-//                   Runtime's home-node fallback.
+//                   Runtime's home-node fallback. An object that an
+//                   application holds with lock_in_core stays until its
+//                   unlock(): a run may end with the node still Draining,
+//                   and the drain goes on in the next run.
 //
 //   crash + rejoin  Fail-stop at a sweep boundary: the node's state is
 //                   exported (in-core objects directly, spilled ones via a
@@ -52,8 +55,9 @@
 // Everything happens on the single driver thread between sweeps; no new AM
 // channels exist — commit reuses the install path and all orchestration is
 // driver-side. quiescent() vetoes termination while events remain
-// unfired, steals are unresolved, or a node is still Draining, so a
-// scheduled rejoin can never be skipped by early quiescence.
+// unfired, steals are unresolved, or a node is still Draining with an
+// object it can move, so a scheduled rejoin can never be skipped by early
+// quiescence.
 
 #include <cstdint>
 #include <vector>

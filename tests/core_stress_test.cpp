@@ -1,6 +1,7 @@
 // Stress / property tests of the cluster runtime:
 //  - randomized multi-node workloads (sends, migrations, locks, priorities)
-//    under a tight memory budget must conserve every message exactly once;
+//    under a tight memory budget must conserve every message exactly once,
+//    with storage inline (kMemory) and on an I/O thread (kFile);
 //  - long-running handlers must not trip the termination detector into a
 //    false quiescence (regression for a real bug: the idle flag used to go
 //    stale while a handler ran, ending the run with work still queued);
@@ -42,12 +43,13 @@ std::vector<std::byte> arg_u64(std::uint64_t v) {
 
 class RandomWorkload : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(RandomWorkload, EveryMessageAppliedExactlyOnce) {
-  util::Rng rng(GetParam());
+void run_random_workload(std::uint64_t seed, SpillMedium spill) {
+  util::Rng rng(seed);
   ClusterOptions options;
   options.nodes = 3;
   options.runtime.ooc.memory_budget_bytes = 200 << 10;  // tight
-  options.spill = SpillMedium::kMemory;
+  options.spill = spill;
+  options.spill_tag = "stress";  // kFile: under the temp path, removed after
   options.max_run_time = std::chrono::seconds(120);
   Cluster cluster(options);
   const TypeId type = cluster.registry().register_type<Box>("box");
@@ -120,6 +122,17 @@ TEST_P(RandomWorkload, EveryMessageAppliedExactlyOnce) {
     ASSERT_NE(box, nullptr) << "object " << i << " lost";
     EXPECT_EQ(box->value, expected[i]) << "object " << i;
   }
+}
+
+TEST_P(RandomWorkload, EveryMessageAppliedExactlyOnce) {
+  run_random_workload(GetParam(), SpillMedium::kMemory);
+}
+
+// A bare kMemory stack runs its storage inline on the node threads; kFile
+// keeps the I/O thread, so stores and loads complete on another thread
+// while sends and migrations race them.
+TEST_P(RandomWorkload, EveryMessageAppliedExactlyOnceWithFileSpills) {
+  run_random_workload(GetParam(), SpillMedium::kFile);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomWorkload,

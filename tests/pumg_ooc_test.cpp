@@ -200,12 +200,16 @@ struct CollectCase {
   int oupdr_side = 3;  // OUPDR grid cells per side
   /// Every node owns at least 8 cells and no 4 of them fit the budget.
   bool tight = false;
+  /// kFile keeps the I/O thread (a bare kMemory stack runs storage inline),
+  /// so reloads complete on another thread while collection runs.
+  core::SpillMedium spill = core::SpillMedium::kMemory;
 };
 
 void PrintTo(const CollectCase& c, std::ostream* os) { *os << c.name; }
 
 OocRunResult run_case(const CollectCase& c, core::ClusterOptions cluster,
                       std::vector<Subdomain>* subs, Decomposition* decomp) {
+  cluster.spill = c.spill;
   if (c.method == OocMethod::kOpcdm) {
     return run_opcdm_ooc(pipe_problem(0.05), {.cluster = cluster, .strips = 6},
                          subs, decomp);
@@ -318,6 +322,8 @@ INSTANTIATE_TEST_SUITE_P(
                     std::nullopt, 4, true},
         CollectCase{"oupdr_4x4_tight_det", OocMethod::kOupdr, 40, true,
                     Traffic{31, 61, 80}, 4, true},
+        CollectCase{"oupdr_4x4_tight_file_threaded", OocMethod::kOupdr, 40,
+                    false, std::nullopt, 4, true, core::SpillMedium::kFile},
         // 18 cells per node: the bound does not depend on the cell count.
         CollectCase{"oupdr_6x6_det", OocMethod::kOupdr, 16, true,
                     Traffic{102, 245, 180}, 6}),
