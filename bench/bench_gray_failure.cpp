@@ -14,7 +14,6 @@
 #include "chaos/workload.hpp"
 #include "core/health.hpp"
 #include "core/runtime.hpp"
-#include "storage/degraded_store.hpp"
 #include "storage/replicated_store.hpp"
 
 using namespace mrts;
@@ -45,10 +44,9 @@ Outcome run_config(bool mitigate) {
 
   // One permanently sick node: 50us baseline per spill op everywhere,
   // 800us on node 2; every frame node 2 sends is held 3 steps.
-  options.degraded_storage.assign(options.nodes,
-                                  storage::DegradedPlan{.base_op_us = 50});
-  options.degraded_storage[kSickNode].windows.push_back(
-      storage::DegradedWindow{.inflation = 16});
+  options.device = storage::DeviceModel{
+      .access_latency = std::chrono::microseconds(50),
+      .slow_windows = {{.node = kSickNode, .inflation = 16}}};
   net::NetFaultPlan net;
   net.degraded_links.push_back(net::NetFaultPlan::DegradedLink{
       .node = kSickNode, .begin_step = 1, .end_step = 1u << 30,

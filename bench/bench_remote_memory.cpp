@@ -23,7 +23,7 @@ int main() {
   // Local disk with a 2011-era device model.
   {
     auto cluster = ooc_cluster(4, 2048, core::SpillMedium::kFile);
-    cluster.disk_model = storage::DeviceModel{
+    cluster.device = storage::DeviceModel{
         .access_latency = std::chrono::microseconds(8000),
         .bandwidth_bytes_per_sec = 60e6};
     pumg::OpcdmOocConfig config{.cluster = cluster, .strips = 24};
@@ -35,7 +35,7 @@ int main() {
   // Remote memory over a fast interconnect.
   {
     auto cluster = ooc_cluster(4, 2048, core::SpillMedium::kRemoteMemory);
-    cluster.remote_memory_model = storage::DeviceModel{
+    cluster.device = storage::DeviceModel{
         .access_latency = std::chrono::microseconds(300),
         .bandwidth_bytes_per_sec = 800e6};
     pumg::OpcdmOocConfig config{.cluster = cluster, .strips = 24};

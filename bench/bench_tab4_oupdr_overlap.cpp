@@ -31,7 +31,7 @@ int main() {
   for (std::size_t target : {40000, 80000, 160000, 320000}) {
     const auto problem = uniform_problem(target);
     auto cluster = ooc_cluster(4, 4096, core::SpillMedium::kFile);
-    cluster.disk_model = storage::DeviceModel{
+    cluster.device = storage::DeviceModel{
         .access_latency = std::chrono::microseconds(5000),
         .bandwidth_bytes_per_sec = 50e6};
     pumg::OupdrOocConfig config{.cluster = cluster, .nx = 8, .ny = 8};

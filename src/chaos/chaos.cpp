@@ -111,18 +111,16 @@ void Harness::instrument(core::ClusterOptions& options) {
       std::swap(victims[i - 1], victims[rng.below(i)]);
     }
     std::size_t vi = 0;  // shared cycle: a node can be sick on both axes
-    options.degraded_storage.assign(options.nodes,
-                                    storage::DegradedPlan{.base_op_us =
-                                                              g.base_op_us});
+    options.device.access_latency = std::chrono::microseconds(g.base_op_us);
     for (std::size_t k = 0; k < g.slow_disk_nodes; ++k) {
-      const net::NodeId node = victims[vi++ % victims.size()];
-      storage::DegradedWindow w;
+      storage::SlowWindow w;
+      w.node = victims[vi++ % victims.size()];
       w.begin_op = 1 + rng.below(
           std::max<std::uint64_t>(g.slow_disk_horizon_ops, 1));
       w.end_op = w.begin_op + std::max<std::uint64_t>(g.slow_disk_ops, 1);
       w.inflation = g.slow_disk_inflation;
-      options.degraded_storage[node].windows.push_back(w);
-      trace_.note(util::format("slow-disk node={} ops=[{},{}) x{}", node,
+      options.device.slow_windows.push_back(w);
+      trace_.note(util::format("slow-disk node={} ops=[{},{}) x{}", w.node,
                                w.begin_op, w.end_op, w.inflation));
     }
     for (std::size_t k = 0; k < g.slow_nic_nodes; ++k) {

@@ -43,16 +43,17 @@ struct PauseWindow {
 /// drawn from the same cycle, so with enough of each a node can be sick in
 /// both dimensions at once.
 struct DegradedFaultPlan {
-  /// Nodes given a slow-disk window (DegradedStore latency inflation).
+  /// Nodes given a slow-disk window (a storage::SlowWindow of the cluster's
+  /// modeled device).
   std::size_t slow_disk_nodes = 0;
   /// Window length in device op indices, beginning within [1, horizon].
   std::uint64_t slow_disk_ops = 64;
   std::uint64_t slow_disk_horizon_ops = 256;
   /// Multiplier on base_op_us inside the window.
   std::uint32_t slow_disk_inflation = 16;
-  /// Modeled per-op cost charged on EVERY node (healthy baseline), in
-  /// virtual microseconds; health scoring is relative, so the baseline
-  /// must exist everywhere.
+  /// The modeled device's access latency, charged per op on EVERY node
+  /// (healthy baseline), in virtual microseconds; health scoring is
+  /// relative, so the baseline must exist everywhere.
   std::uint64_t base_op_us = 50;
   /// Nodes given a stalling-NIC window (fixed per-message park).
   std::size_t slow_nic_nodes = 0;

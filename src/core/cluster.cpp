@@ -7,7 +7,6 @@
 
 #include "obs/trace.hpp"
 #include "storage/file_store.hpp"
-#include "storage/latency_store.hpp"
 #include "storage/mem_store.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -29,8 +28,24 @@ struct SpillStack {
   /// The stack is a bare MemStore. It has no device time for an I/O thread
   /// to overlap, and it answers only OK or kNotFound, so running it on the
   /// node's own thread skips no retry backoff. Every decorator below either
-  /// sleeps, fails transiently or hedges, and keeps the I/O thread.
+  /// prices device time, fails transiently or hedges, and keeps the I/O
+  /// thread.
   bool inline_io = false;
+};
+
+/// Marks a run in flight for as long as it lives, so every exit from a
+/// driver, a rethrown handler exception included, ends the run.
+class RunningFlag {
+ public:
+  explicit RunningFlag(std::atomic<bool>& flag) : flag_(flag) {
+    flag_.store(true, std::memory_order_release);
+  }
+  ~RunningFlag() { flag_.store(false, std::memory_order_release); }
+  RunningFlag(const RunningFlag&) = delete;
+  RunningFlag& operator=(const RunningFlag&) = delete;
+
+ private:
+  std::atomic<bool>& flag_;
 };
 
 SpillStack make_spill_backend(const ClusterOptions& options, NodeId node,
@@ -50,21 +65,13 @@ SpillStack make_spill_backend(const ClusterOptions& options, NodeId node,
       base = remote_pool->backend_for(node);
       break;
   }
-  const bool modeled = options.disk_model.access_latency.count() > 0 ||
-                       options.disk_model.bandwidth_bytes_per_sec > 0.0;
-  if (modeled) {
-    base = std::make_unique<storage::LatencyStore>(std::move(base),
-                                                   options.disk_model);
-  }
-  if (node < options.degraded_storage.size() &&
-      options.degraded_storage[node].base_op_us > 0) {
-    // Between the device model and the fault injector: a degraded device is
-    // still the same device, just slower — and being under the replicated
-    // mirror is what lets a hedged read skip it.
-    storage::DegradedPlan plan = options.degraded_storage[node];
-    plan.tag = node;
-    base = std::make_unique<storage::DegradedStore>(std::move(base),
-                                                    std::move(plan));
+  if (options.device.priced()) {
+    // Under the fault injector and the replicated mirror: being under the
+    // mirror is what lets a hedged read skip a slow device. It sleeps by
+    // the rule retry backoff follows: only off the synchronous path.
+    base = std::make_unique<storage::ModeledDevice>(
+        std::move(base), options.device, node,
+        /*sleep=*/!options.runtime.synchronous_storage);
   }
   if (options.storage_faults.has_value()) {
     storage::FaultPlan plan = *options.storage_faults;
@@ -151,8 +158,7 @@ Cluster::Cluster(ClusterOptions options) : options_(std::move(options)) {
   }
   if (options_.spill == SpillMedium::kRemoteMemory) {
     remote_pool_ = std::make_unique<storage::RemoteMemoryPool>(
-        options_.nodes, options_.remote_memory_model,
-        options_.remote_memory_capacity_bytes);
+        options_.nodes, options_.remote_memory_capacity_bytes);
   }
   runtimes_.reserve(options_.nodes);
   for (std::size_t i = 0; i < options_.nodes; ++i) {
@@ -245,7 +251,7 @@ RunReport Cluster::run() {
   for (std::size_t i = workers_.size(); i < runtimes_.size(); ++i) {
     workers_.emplace_back([this, i] { worker_loop(static_cast<NodeId>(i)); });
   }
-  running_.store(true, std::memory_order_release);
+  const RunningFlag running(running_);
   util::WallTimer timer;
   run_over_.store(false, std::memory_order_relaxed);
   nodes_turned_.store(0, std::memory_order_relaxed);
@@ -291,7 +297,6 @@ RunReport Cluster::run() {
   }
 
   stop_workers();
-  running_.store(false, std::memory_order_release);
   for (auto& rt : runtimes_) rt->flush_stores();
   if (worker_error_) std::rethrow_exception(std::exchange(worker_error_, {}));
   return finish_report(timed_out, timer.seconds(), before,
@@ -373,7 +378,7 @@ RunReport Cluster::run_deterministic() {
   bool timed_out = false;
   int quiet_sweeps = 0;
   std::uint64_t step = 0;
-  running_.store(true, std::memory_order_release);
+  const RunningFlag running(running_);
   while (quiet_sweeps < 2) {
     ++step;
     if (timer.seconds() > static_cast<double>(options_.max_run_time.count())) {
@@ -410,7 +415,6 @@ RunReport Cluster::run_deterministic() {
                         options_.step_observer->quiescent());
     quiet_sweeps = quiet ? quiet_sweeps + 1 : 0;
   }
-  running_.store(false, std::memory_order_release);
   for (auto& rt : runtimes_) rt->flush_stores();
   RunReport report = finish_report(timed_out, timer.seconds(), before,
                                    busy_snapshot(runtimes_), fabric_before,

@@ -42,9 +42,8 @@
 
 #include "core/runtime.hpp"
 #include "simnet/fabric.hpp"
-#include "storage/degraded_store.hpp"
 #include "storage/fault_store.hpp"
-#include "storage/latency_store.hpp"
+#include "storage/modeled_device.hpp"
 #include "storage/remote_store.hpp"
 #include "storage/replicated_store.hpp"
 #include "util/doorbell.hpp"
@@ -83,10 +82,14 @@ struct ClusterOptions {
   RuntimeOptions runtime;
   net::LinkModel link;
   SpillMedium spill = SpillMedium::kFile;
-  /// Optional modeled device latency stacked on the spill backend.
-  storage::DeviceModel disk_model;
-  /// Network put/get cost for SpillMedium::kRemoteMemory.
-  storage::DeviceModel remote_memory_model;
+  /// The device that `spill` runs on: a disk for kFile, the interconnect for
+  /// kRemoteMemory. When it prices anything, each node's spill stack gains
+  /// a ModeledDevice directly over its medium, under the fault injector and
+  /// the replicated mirror (so hedged reads can dodge a slow primary). Its
+  /// slow windows make one node's device a gray failure. The device sleeps
+  /// its cost only on a node whose storage runs on an I/O thread; under the
+  /// deterministic driver it charges virtual time alone.
+  storage::DeviceModel device;
   /// Per-node capacity of the remote-memory pool (0 = unlimited).
   std::uint64_t remote_memory_capacity_bytes = 0;
   /// Tag used in spill directory names.
@@ -114,12 +117,6 @@ struct ClusterOptions {
   /// Storage fault plan: each node's spill backend is wrapped in a
   /// FaultStore carrying a per-node derived seed and tag = node id.
   std::optional<storage::FaultPlan> storage_faults;
-  /// Gray-failure plans, indexed by node (nodes past the end get none): the
-  /// node's spill stack gains a DegradedStore charging modeled per-op cost
-  /// (inflated inside the plan's windows) into the virtual latency stats.
-  /// Placed UNDER the replicated mirror, so hedged reads can dodge a slow
-  /// primary device.
-  std::vector<storage::DegradedPlan> degraded_storage;
 
   // --- self-healing storage path ------------------------------------------
   /// Wrap each node's spill stack (including any FaultStore) in a

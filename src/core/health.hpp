@@ -8,8 +8,8 @@
 //
 //   storage   per-op modeled latency, differenced from the spill backend's
 //             virtual_*_latency_us BackendStats between samples (charged by
-//             LatencyStore/DegradedStore as a pure function of the op
-//             schedule — never wall clock);
+//             the ModeledDevice as a pure function of the op schedule —
+//             never wall clock);
 //   network   per-peer retransmit counts and the smoothed ack-RTT estimate
 //             (Jacobson/Karels state ReliableLink maintains per tx flow),
 //             aggregated *toward* each node: retransmits at my peers mean

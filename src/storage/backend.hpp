@@ -4,7 +4,8 @@
 // underlying facility is hidden from the application: the runtime sees only
 // keyed blobs. Implementations: FileStore (real files on disk), MemStore
 // (in-memory, for tests), RemoteMemoryPool views (peers' RAM), plus
-// decorators adding modeled device latency, injected faults and replication.
+// decorators adding modeled device time (ModeledDevice), injected faults
+// and replication.
 
 #include <cstddef>
 #include <cstdint>
@@ -26,12 +27,13 @@ struct BackendStats {
   std::uint64_t store_ops = 0;
   std::uint64_t load_ops = 0;
   std::uint64_t erase_ops = 0;
-  // --- modeled device time (LatencyStore / DegradedStore) -----------------
+  // --- modeled device time (ModeledDevice) --------------------------------
   /// Accumulated *virtual* microseconds of modeled device cost, charged per
-  /// op as a pure function of the op schedule (never wall clock). This is
-  /// the health-scoring signal: HealthMonitor differences these between
-  /// samples to see a slow device deterministically, and the gray-failure
-  /// bench reports their sum as the reload-stall figure.
+  /// op as a pure function of the op schedule and its bytes (never wall
+  /// clock), whether or not the device also sleeps it. This is the
+  /// health-scoring signal: HealthMonitor differences these between samples
+  /// to see a slow device deterministically, and the gray-failure bench
+  /// reports their sum as the reload-stall figure.
   std::uint64_t virtual_store_latency_us = 0;
   std::uint64_t virtual_load_latency_us = 0;
 };

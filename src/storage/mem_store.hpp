@@ -1,8 +1,8 @@
 #pragma once
 
-// In-memory StorageBackend. Used in unit tests and as the base layer under
-// the latency-model decorator when benches need deterministic "disk" timing
-// decoupled from the host filesystem.
+// In-memory StorageBackend. Used in unit tests, as the replicated mirror,
+// and as the base layer under a ModeledDevice when a run needs modeled
+// "disk" timing decoupled from the host filesystem.
 
 #include <mutex>
 #include <unordered_map>

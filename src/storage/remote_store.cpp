@@ -1,7 +1,5 @@
 #include "storage/remote_store.hpp"
 
-#include <thread>
-
 namespace mrts::storage {
 namespace {
 
@@ -73,9 +71,9 @@ class RemoteMemoryBackend final : public StorageBackend {
 
 }  // namespace
 
-RemoteMemoryPool::RemoteMemoryPool(std::size_t nodes, DeviceModel transfer,
+RemoteMemoryPool::RemoteMemoryPool(std::size_t nodes,
                                    std::uint64_t capacity_bytes)
-    : transfer_(transfer), capacity_bytes_(capacity_bytes) {
+    : capacity_bytes_(capacity_bytes) {
   partitions_.reserve(nodes == 0 ? 1 : nodes);
   for (std::size_t i = 0; i < (nodes == 0 ? 1 : nodes); ++i) {
     partitions_.push_back(std::make_unique<Partition>());
@@ -106,7 +104,6 @@ std::uint64_t RemoteMemoryPool::stored_on(std::uint32_t node) const {
 
 util::Status RemoteMemoryPool::pool_store(std::uint32_t owner, ObjectKey key,
                                           std::span<const std::byte> bytes) {
-  std::this_thread::sleep_for(transfer_.cost(bytes.size()));
   auto& part = *partitions_[partition_of(owner, key)];
   std::lock_guard lock(part.mutex);
   if (capacity_bytes_ != 0) {
@@ -127,17 +124,12 @@ util::Status RemoteMemoryPool::pool_store(std::uint32_t owner, ObjectKey key,
 util::Result<std::vector<std::byte>> RemoteMemoryPool::pool_load(
     std::uint32_t owner, ObjectKey key) {
   auto& part = *partitions_[partition_of(owner, key)];
-  std::vector<std::byte> out;
-  {
-    std::lock_guard lock(part.mutex);
-    auto it = part.blobs.find(key);
-    if (it == part.blobs.end()) {
-      return util::Status(util::StatusCode::kNotFound, "no such remote blob");
-    }
-    out = it->second;
+  std::lock_guard lock(part.mutex);
+  auto it = part.blobs.find(key);
+  if (it == part.blobs.end()) {
+    return util::Status(util::StatusCode::kNotFound, "no such remote blob");
   }
-  std::this_thread::sleep_for(transfer_.cost(out.size()));
-  return out;
+  return it->second;
 }
 
 util::Status RemoteMemoryPool::pool_erase(std::uint32_t owner, ObjectKey key) {

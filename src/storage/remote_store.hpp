@@ -8,9 +8,9 @@
 // RemoteMemoryPool models the aggregate remote memory of a cluster: one
 // pool object is shared by all simulated nodes, and each node obtains a
 // StorageBackend view whose blobs are placed in *other* nodes' partitions
-// (deterministically by key). Transfers charge a configurable network cost
-// (latency + bytes/bandwidth), standing in for the RDMA put/get a real
-// implementation would issue.
+// (deterministically by key). The pool itself is free: a cluster prices
+// the RDMA put/get of a real implementation by stacking a ModeledDevice
+// over each node's view (ClusterOptions::device).
 
 #include <memory>
 #include <mutex>
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "storage/backend.hpp"
-#include "storage/latency_store.hpp"
 
 namespace mrts::storage {
 
@@ -26,9 +25,8 @@ class RemoteMemoryPool {
  public:
   /// `nodes` simulated nodes; per-partition capacity of `capacity_bytes`
   /// (0 = unlimited; a full partition fails stores with kUnavailable).
-  /// `transfer` models the network put/get cost.
-  RemoteMemoryPool(std::size_t nodes, DeviceModel transfer,
-                   std::uint64_t capacity_bytes = 0);
+  explicit RemoteMemoryPool(std::size_t nodes,
+                            std::uint64_t capacity_bytes = 0);
 
   /// A backend for node `local`: its blobs live in other nodes' partitions.
   /// With a single node there is no peer, so blobs fall back to the local
@@ -60,7 +58,6 @@ class RemoteMemoryPool {
                                            ObjectKey key) const;
 
   std::vector<std::unique_ptr<Partition>> partitions_;
-  DeviceModel transfer_;
   std::uint64_t capacity_bytes_;
 };
 

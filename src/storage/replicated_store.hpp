@@ -9,7 +9,7 @@
 // in-memory overflow when the mirror refuses too) until a probe succeeds.
 //
 // Placement: outermost decorator of a node's spill stack —
-//   ReplicatedStore( primary = FaultStore(LatencyStore(base)), mirror )
+//   ReplicatedStore( primary = FaultStore(ModeledDevice(base)), mirror )
 // so injected faults and device latency hit only the primary, exactly like
 // a sick disk under a healthy replica.
 //

@@ -1,8 +1,9 @@
 // Multi-node tests of the MRTS cluster: remote messaging, the lazy-update
 // distributed directory, migration, multicast collection, termination
 // detection, the threaded driver's worker lifecycle, which spill stacks run
-// their storage inline, and out-of-core behaviour under remote traffic on
-// an inline (kMemory) and a threaded (kFile) stack.
+// their storage inline, the modeled device's virtual clock, and out-of-core
+// behaviour under remote traffic on an inline (kMemory) and a threaded
+// (kFile) stack.
 
 #include <gtest/gtest.h>
 
@@ -13,9 +14,11 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.hpp"
+#include "util/timer.hpp"
 
 namespace mrts::core {
 namespace {
@@ -273,17 +276,32 @@ TEST_F(ClusterTest, ThousandBackToBackPingPongRunsEachCountExactly) {
 }
 
 TEST_F(ClusterTest, HandlerExceptionEndsTheRunAndIsRethrown) {
-  const HandlerId h_throw = cluster_->registry().register_handler(
-      type_, [](Runtime&, MobileObject&, MobilePtr, NodeId, util::ByteReader&) {
-        throw std::runtime_error("handler failed");
-      });
-  auto [ptr, box] = cluster_->node(3).create<Box>(type_);
-  cluster_->node(0).send(ptr, h_throw, arg_u64(0));
-  EXPECT_THROW((void)cluster_->run(), std::runtime_error);
-  // Every worker parked again: the counters are readable and the cluster
-  // tears down cleanly.
-  EXPECT_NO_THROW((void)cluster_->sum_counters(
-      [](const NodeCounters& c) { return c.messages_executed.load(); }));
+  // The fixture's threaded cluster, then a deterministic one: either driver
+  // ends the run on the exception and leaves the cluster readable.
+  ClusterOptions det;
+  det.nodes = 2;
+  det.spill = SpillMedium::kMemory;
+  det.deterministic = true;
+  det.max_run_time = std::chrono::seconds(120);
+  Cluster det_cluster(det);
+  const TypeId det_type = det_cluster.registry().register_type<Box>("box");
+  for (auto [cluster, type] : {std::pair(cluster_.get(), type_),
+                               std::pair(&det_cluster, det_type)}) {
+    SCOPED_TRACE(cluster == &det_cluster ? "deterministic" : "threaded");
+    const HandlerId h_throw = cluster->registry().register_handler(
+        type,
+        [](Runtime&, MobileObject&, MobilePtr, NodeId, util::ByteReader&) {
+          throw std::runtime_error("handler failed");
+        });
+    const NodeId last = static_cast<NodeId>(cluster->size() - 1);
+    auto [ptr, box] = cluster->node(last).create<Box>(type);
+    cluster->node(0).send(ptr, h_throw, arg_u64(0));
+    EXPECT_THROW((void)cluster->run(), std::runtime_error);
+    // Every worker parked again: the counters are readable and the cluster
+    // tears down cleanly.
+    EXPECT_NO_THROW((void)cluster->sum_counters(
+        [](const NodeCounters& c) { return c.messages_executed.load(); }));
+  }
 }
 
 TEST(ClusterLifecycle, DestroyAfterARunOrWithoutOneExitsCleanly) {
@@ -373,12 +391,20 @@ TEST(ClusterSpillStack, OnlyABareMemoryStackRunsStorageInline) {
   remote.spill = SpillMedium::kRemoteMemory;
   EXPECT_EQ(inline_nodes(remote), std::vector<bool>({false, false}));
   ClusterOptions modeled = bare;
-  modeled.disk_model.access_latency = std::chrono::microseconds(10);
+  modeled.device.access_latency = std::chrono::microseconds(10);
   EXPECT_EQ(inline_nodes(modeled), std::vector<bool>({false, false}));
-  ClusterOptions degraded = bare;  // node 1 has no plan: its stack is bare
-  degraded.degraded_storage.resize(1);
-  degraded.degraded_storage[0].base_op_us = 10;
-  EXPECT_EQ(inline_nodes(degraded), std::vector<bool>({false, true}));
+  // A slow window names one node, but every node sits on the one modeled
+  // device, so none of them runs inline.
+  ClusterOptions degraded = modeled;
+  degraded.device.slow_windows.push_back({.node = 0});
+  EXPECT_EQ(inline_nodes(degraded), std::vector<bool>({false, false}));
+  ClusterOptions remote_modeled = modeled;
+  remote_modeled.spill = SpillMedium::kRemoteMemory;
+  EXPECT_EQ(inline_nodes(remote_modeled), std::vector<bool>({false, false}));
+  // A device that prices nothing is not stacked.
+  ClusterOptions unpriced = bare;
+  unpriced.device.slow_windows.push_back({.node = 0});
+  EXPECT_EQ(inline_nodes(unpriced), std::vector<bool>({true, true}));
   ClusterOptions faulted = bare;
   faulted.storage_faults = storage::FaultPlan{};
   EXPECT_EQ(inline_nodes(faulted), std::vector<bool>({false, false}));
@@ -401,6 +427,49 @@ TEST(ClusterSpillStack, OnlyABareMemoryStackRunsStorageInline) {
   EXPECT_GT(rt.spill_backend().count(), 0u);
   ASSERT_FALSE(cluster.run().timed_out);
   EXPECT_EQ(rt.write_behind_inflight_bytes(), 0u);
+}
+
+TEST(ClusterSpillStack, DeterministicDeviceChargesVirtualTimeOnly) {
+  // 20 ms per device op, over memory and over peers' RAM. The deterministic
+  // driver charges every op in virtual microseconds and never sleeps, so
+  // the run takes a small fraction of the time it charges.
+  for (SpillMedium spill : {SpillMedium::kMemory, SpillMedium::kRemoteMemory}) {
+    SCOPED_TRACE(spill == SpillMedium::kMemory ? "memory" : "remote memory");
+    ClusterOptions options;
+    options.nodes = 2;
+    options.deterministic = true;
+    options.spill = spill;
+    options.runtime.ooc.memory_budget_bytes = 1u << 20;
+    options.device.access_latency = std::chrono::milliseconds(20);
+    Cluster cluster(options);
+    const TypeId type = cluster.registry().register_type<Box>("box");
+    const HandlerId add = cluster.registry().register_handler(
+        type, [](Runtime&, MobileObject& obj, MobilePtr, NodeId,
+                 util::ByteReader& in) {
+          static_cast<Box&>(obj).value += in.read<std::uint64_t>();
+        });
+    // 32 objects of ~80 KB against a 1 MB budget: most must spill.
+    for (int i = 0; i < 32; ++i) {
+      auto [p, box] = cluster.node(0).create<Box>(type);
+      box->data.assign(10000, static_cast<std::uint64_t>(i));
+      cluster.node(0).refresh_footprint(p);
+      cluster.node(1).send(p, add, arg_u64(1));
+    }
+    const util::WallTimer wall;
+    ASSERT_FALSE(cluster.run().timed_out);
+    const double wall_seconds = wall.seconds();
+
+    std::uint64_t ops = 0, charged_us = 0;
+    for (NodeId id : {NodeId{0}, NodeId{1}}) {
+      const auto s = cluster.node(id).spill_backend().stats();
+      EXPECT_EQ(s.virtual_store_latency_us, s.store_ops * 20000) << id;
+      EXPECT_EQ(s.virtual_load_latency_us, s.load_ops * 20000) << id;
+      ops += s.store_ops + s.load_ops;
+      charged_us += s.virtual_store_latency_us + s.virtual_load_latency_us;
+    }
+    ASSERT_GE(ops, 32u);
+    EXPECT_LT(wall_seconds, 0.1 * static_cast<double>(charged_us) * 1e-6);
+  }
 }
 
 // A bare kMemory stack runs its storage inline on the node threads; kFile

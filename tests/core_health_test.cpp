@@ -15,7 +15,7 @@
 #include "core/membership.hpp"
 #include "core/runtime.hpp"
 #include "simnet/reliable.hpp"
-#include "storage/degraded_store.hpp"
+#include "storage/modeled_device.hpp"
 
 namespace mrts::core {
 namespace {
@@ -31,9 +31,9 @@ TEST(HealthMonitor, SlowDiskNodeIsSuspectedAndOthersAreNot) {
   options.runtime.ooc.memory_budget_bytes = 16u << 10;
   options.runtime.reliable_net.enabled = true;
   options.spill = SpillMedium::kMemory;
-  options.degraded_storage.assign(4, storage::DegradedPlan{.base_op_us = 50});
-  options.degraded_storage[2].windows.push_back(
-      storage::DegradedWindow{.inflation = 32});
+  options.device = storage::DeviceModel{
+      .access_latency = std::chrono::microseconds(50),
+      .slow_windows = {{.node = 2, .inflation = 32}}};
 
   HealthMonitor monitor({.sample_interval = 2});
   monitor.instrument(options);
@@ -82,9 +82,10 @@ TEST(HealthMonitor, BoundedDegradationRecoversToHealthy) {
   options.runtime.ooc.memory_budget_bytes = 16u << 10;
   options.runtime.reliable_net.enabled = true;
   options.spill = SpillMedium::kMemory;
-  options.degraded_storage.assign(4, storage::DegradedPlan{.base_op_us = 50});
-  options.degraded_storage[1].windows.push_back(
-      storage::DegradedWindow{.begin_op = 0, .end_op = 24, .inflation = 32});
+  options.device = storage::DeviceModel{
+      .access_latency = std::chrono::microseconds(50),
+      .slow_windows = {
+          {.node = 1, .begin_op = 0, .end_op = 24, .inflation = 32}}};
 
   HealthMonitor monitor({.sample_interval = 1});
   monitor.instrument(options);

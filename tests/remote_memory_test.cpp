@@ -1,16 +1,20 @@
 // Tests for the remote-memory out-of-core backend (paper [33]): backend
-// contract, placement on peers only, capacity behaviour, and a full OOC
-// mesh run swapping into peers' RAM instead of disk.
+// contract, placement on peers only, capacity behaviour, a modeled device
+// pricing a node's view, and a full OOC mesh run swapping into peers' RAM
+// instead of disk.
 
 #include <gtest/gtest.h>
 
 #include "pumg/ooc.hpp"
+#include "storage/modeled_device.hpp"
 #include "storage/remote_store.hpp"
+#include "util/timer.hpp"
 
 namespace mrts {
 namespace {
 
 using storage::DeviceModel;
+using storage::ModeledDevice;
 using storage::ObjectKey;
 using storage::RemoteMemoryPool;
 
@@ -19,7 +23,7 @@ std::vector<std::byte> blob(std::size_t n, int fill) {
 }
 
 TEST(RemoteMemory, BackendContract) {
-  RemoteMemoryPool pool(4, DeviceModel{});
+  RemoteMemoryPool pool(4);
   auto store = pool.backend_for(0);
   EXPECT_FALSE(store->contains(1));
   EXPECT_FALSE(store->load(1).is_ok());
@@ -37,7 +41,7 @@ TEST(RemoteMemory, BackendContract) {
 }
 
 TEST(RemoteMemory, BlobsLandOnPeersOnly) {
-  RemoteMemoryPool pool(4, DeviceModel{});
+  RemoteMemoryPool pool(4);
   auto store = pool.backend_for(2);
   for (ObjectKey k = 0; k < 64; ++k) {
     ASSERT_TRUE(store->store(k, blob(100, static_cast<int>(k))).is_ok());
@@ -51,14 +55,14 @@ TEST(RemoteMemory, BlobsLandOnPeersOnly) {
 }
 
 TEST(RemoteMemory, SingleNodeFallsBackToSelf) {
-  RemoteMemoryPool pool(1, DeviceModel{});
+  RemoteMemoryPool pool(1);
   auto store = pool.backend_for(0);
   ASSERT_TRUE(store->store(5, blob(10, 1)).is_ok());
   EXPECT_EQ(pool.stored_on(0), 10u);
 }
 
 TEST(RemoteMemory, CapacityLimitRejectsWithUnavailable) {
-  RemoteMemoryPool pool(2, DeviceModel{}, /*capacity_bytes=*/150);
+  RemoteMemoryPool pool(2, /*capacity_bytes=*/150);
   auto store = pool.backend_for(0);
   ASSERT_TRUE(store->store(1, blob(100, 1)).is_ok());
   // Second blob would exceed the single peer partition's capacity.
@@ -69,7 +73,7 @@ TEST(RemoteMemory, CapacityLimitRejectsWithUnavailable) {
 }
 
 TEST(RemoteMemory, TwoOwnersDoNotCollideOnKeys) {
-  RemoteMemoryPool pool(3, DeviceModel{});
+  RemoteMemoryPool pool(3);
   auto a = pool.backend_for(0);
   auto b = pool.backend_for(1);
   // Note: keys are globally unique in MRTS (they embed the home node), but
@@ -82,14 +86,20 @@ TEST(RemoteMemory, TwoOwnersDoNotCollideOnKeys) {
   EXPECT_FALSE(a->contains(200));
 }
 
-TEST(RemoteMemory, TransferModelChargesTime) {
-  RemoteMemoryPool pool(
-      2, DeviceModel{.access_latency = std::chrono::microseconds(3000)});
-  auto store = pool.backend_for(0);
+TEST(ModeledDevice, SleepsOverARemoteMemoryView) {
+  // The pool is free; a device over a node's view prices the transfers.
+  RemoteMemoryPool pool(2);
+  ModeledDevice store(
+      pool.backend_for(0),
+      DeviceModel{.access_latency = std::chrono::microseconds(3000)},
+      /*node=*/0, /*sleep=*/true);
   util::WallTimer t;
-  ASSERT_TRUE(store->store(1, blob(64, 1)).is_ok());
-  (void)store->load(1);
+  ASSERT_TRUE(store.store(1, blob(64, 1)).is_ok());
+  EXPECT_EQ(store.load(1).value(), blob(64, 1));
   EXPECT_GE(t.seconds(), 0.005);
+  EXPECT_EQ(pool.stored_on(1), 64u);
+  EXPECT_EQ(store.stats().virtual_store_latency_us, 3000u);
+  EXPECT_EQ(store.stats().virtual_load_latency_us, 3000u);
 }
 
 TEST(RemoteMemory, OocMeshRunSwapsIntoPeerRam) {

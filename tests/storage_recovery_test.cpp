@@ -8,9 +8,9 @@
 #include <cstring>
 
 #include "storage/circuit_breaker.hpp"
-#include "storage/degraded_store.hpp"
 #include "storage/fault_store.hpp"
 #include "storage/mem_store.hpp"
+#include "storage/modeled_device.hpp"
 #include "storage/object_store.hpp"
 #include "storage/replicated_store.hpp"
 #include "storage/retry_policy.hpp"
@@ -414,24 +414,15 @@ TEST(ReplicatedStore, EraseRemovesFromBothReplicas) {
 
 // --- Hedged reads (gray-failure mitigation) ---------------------------------
 
-TEST(DegradedStore, WindowInflatesModeledCostOnly) {
-  DegradedPlan plan;
-  plan.base_op_us = 50;
-  plan.windows.push_back(DegradedWindow{.begin_op = 1, .end_op = 3,
-                                        .inflation = 10});
-  DegradedStore store(std::make_unique<MemStore>(), plan);
-  const auto blob = sealed_payload(1, 4);
-  // Ops 0..3: op 0 and 3 at base cost, ops 1 and 2 inside the window.
-  for (ObjectKey k = 0; k < 4; ++k) {
-    ASSERT_TRUE(store.store(k, blob).is_ok());
-  }
-  EXPECT_EQ(store.degraded_ops(), 2u);
-  EXPECT_EQ(store.stats().virtual_store_latency_us, 50u + 500u + 500u + 50u);
-  EXPECT_EQ(store.stats().virtual_load_latency_us, 0u);
-  // The payload itself is untouched: degradation is latency, never loss.
-  auto r = store.load(0);
-  ASSERT_TRUE(r.is_ok());
-  EXPECT_EQ(r.value(), blob);
+/// A primary device on the virtual clock: every op costs `inflation` x
+/// `base_us`, and nothing sleeps.
+std::unique_ptr<ModeledDevice> slow_primary(std::uint64_t base_us,
+                                            std::uint32_t inflation) {
+  return std::make_unique<ModeledDevice>(
+      std::make_unique<MemStore>(),
+      DeviceModel{.access_latency = std::chrono::microseconds(base_us),
+                  .slow_windows = {{.inflation = inflation}}},
+      /*node=*/0, /*sleep=*/false);
 }
 
 TEST(ReplicatedStore, HedgedReadWinsOnMirrorAndSkipsSlowPrimary) {
@@ -439,12 +430,8 @@ TEST(ReplicatedStore, HedgedReadWinsOnMirrorAndSkipsSlowPrimary) {
   // trigger is 400us. The first load primes the EWMA on the primary path;
   // from the second load on, the mirror is raced first and a sealed hit
   // skips the primary device op entirely.
-  DegradedPlan plan;
-  plan.base_op_us = 100;
-  plan.windows.push_back(DegradedWindow{.inflation = 16});  // [0, inf)
-  auto primary =
-      std::make_unique<DegradedStore>(std::make_unique<MemStore>(), plan);
-  DegradedStore* raw_primary = primary.get();
+  auto primary = slow_primary(100, /*inflation=*/16);
+  StorageBackend* raw_primary = primary.get();
   ReplicatedStoreOptions ropts;
   ropts.hedged_reads = true;
   ropts.hedge_latency_us = 400;
@@ -478,14 +465,11 @@ TEST(ReplicatedStore, HedgedReadWinsOnMirrorAndSkipsSlowPrimary) {
 TEST(ReplicatedStore, HedgeLossFallsThroughToPrimary) {
   // The mirror refuses every store, so a hedge can never be served there:
   // each hedged load must count a loss and still return the primary's blob.
-  DegradedPlan plan;
-  plan.base_op_us = 500;
-  plan.windows.push_back(DegradedWindow{.inflation = 4});
   ReplicatedStoreOptions ropts;
   ropts.hedged_reads = true;
   ropts.hedge_latency_us = 400;
   ReplicatedStore store(
-      std::make_unique<DegradedStore>(std::make_unique<MemStore>(), plan),
+      slow_primary(500, /*inflation=*/4),
       std::make_unique<FaultStore>(std::make_unique<MemStore>(),
                                    FaultPlan{.store_failure_rate = 1.0}),
       ropts);
@@ -505,13 +489,10 @@ TEST(ReplicatedStore, HedgeLossFallsThroughToPrimary) {
 }
 
 TEST(ReplicatedStore, HedgingOffByDefaultNeverTouchesMirrorFirst) {
-  DegradedPlan plan;
-  plan.base_op_us = 5000;  // far above any trigger
   auto mirror = std::make_unique<MemStore>();
   MemStore* raw_mirror = mirror.get();
-  ReplicatedStore store(
-      std::make_unique<DegradedStore>(std::make_unique<MemStore>(), plan),
-      std::move(mirror));
+  // 5000 us per load, far above any trigger.
+  ReplicatedStore store(slow_primary(5000, /*inflation=*/1), std::move(mirror));
   ASSERT_TRUE(store.store(2, sealed_payload(2, 4)).is_ok());
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(store.load(2).is_ok());

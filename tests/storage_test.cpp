@@ -13,8 +13,8 @@
 #include "storage/eviction.hpp"
 #include "storage/fault_store.hpp"
 #include "storage/file_store.hpp"
-#include "storage/latency_store.hpp"
 #include "storage/mem_store.hpp"
+#include "storage/modeled_device.hpp"
 #include "storage/object_store.hpp"
 #include "util/crc32.hpp"
 #include "util/rng.hpp"
@@ -184,14 +184,92 @@ TEST(FileStore, FailedOverwriteLeavesKeyAbsent) {
   EXPECT_EQ(store.stored_bytes(), 300u);
 }
 
-TEST(LatencyStore, AddsModeledDelay) {
+TEST(ModeledDevice, SleepingDeviceTakesItsModeledTime) {
   DeviceModel model{.access_latency = std::chrono::microseconds(2000),
                     .bandwidth_bytes_per_sec = 0.0};
-  LatencyStore store(std::make_unique<MemStore>(), model);
+  ModeledDevice store(std::make_unique<MemStore>(), model, /*node=*/0,
+                      /*sleep=*/true);
   util::WallTimer t;
   ASSERT_TRUE(store.store(1, random_blob(10, 1)).is_ok());
-  (void)store.load(1);
+  auto r = store.load(1);
   EXPECT_GE(t.seconds(), 0.004);  // two ops, 2 ms each
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(r.value(), random_blob(10, 1));
+  EXPECT_EQ(store.stats().virtual_store_latency_us, 2000u);
+  EXPECT_EQ(store.stats().virtual_load_latency_us, 2000u);
+}
+
+TEST(ModeledDevice, VirtualClockChargesTheSameWithoutSleeping) {
+  // 20 ms + 1000 B at 1 MB/s = 21 ms per op. The sleeping device takes it;
+  // the one on the virtual clock charges the same microseconds and returns
+  // long before a single op's price has passed.
+  const DeviceModel model{.access_latency = std::chrono::microseconds(20000),
+                          .bandwidth_bytes_per_sec = 1e6};
+  const auto blob = random_blob(1000, 2);
+  const auto run = [&](bool sleep) {
+    ModeledDevice store(std::make_unique<MemStore>(), model, /*node=*/0,
+                        sleep);
+    util::WallTimer t;
+    EXPECT_TRUE(store.store(1, blob).is_ok());
+    EXPECT_EQ(store.load(1).value(), blob);
+    return std::pair(t.seconds(), store.stats());
+  };
+  const auto [slept, real] = run(true);
+  const auto [charged, virt] = run(false);
+  EXPECT_GE(slept, 0.042);
+  EXPECT_LT(charged, 0.0105);
+  EXPECT_EQ(real.virtual_store_latency_us, 21000u);
+  EXPECT_EQ(real.virtual_load_latency_us, 21000u);
+  EXPECT_EQ(virt.virtual_store_latency_us, real.virtual_store_latency_us);
+  EXPECT_EQ(virt.virtual_load_latency_us, real.virtual_load_latency_us);
+  EXPECT_EQ(virt.bytes_written, real.bytes_written);
+}
+
+TEST(ModeledDevice, SlowWindowsInflateByOpIndex) {
+  // Node 1's device: 50 us per op, 10x in ops [1, 3) and 4x in [5, 6).
+  // Node 0's window is not its own. Stores and loads share one op index;
+  // erase is neither charged nor counted.
+  DeviceModel model{
+      .access_latency = std::chrono::microseconds(50),
+      .slow_windows = {{.node = 1, .begin_op = 1, .end_op = 3,
+                        .inflation = 10},
+                       {.node = 0, .inflation = 99},
+                       {.node = 1, .begin_op = 5, .end_op = 6,
+                        .inflation = 4}}};
+  ModeledDevice store(std::make_unique<MemStore>(), model, /*node=*/1,
+                      /*sleep=*/false);
+  const auto blob = random_blob(64, 3);
+  // Ops 0..3: op 0 and 3 at base cost, ops 1 and 2 inside the window.
+  for (ObjectKey k = 0; k < 4; ++k) {
+    ASSERT_TRUE(store.store(k, blob).is_ok());
+  }
+  EXPECT_EQ(store.stats().virtual_store_latency_us, 50u + 500u + 500u + 50u);
+  EXPECT_EQ(store.stats().virtual_load_latency_us, 0u);
+  ASSERT_TRUE(store.erase(3).is_ok());
+  // The payload itself is untouched: a slow device is latency, never loss.
+  auto r = store.load(0);  // op 4
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(r.value(), blob);
+  // Op 5 fails, so it moves no bytes, but the device was still asked.
+  EXPECT_EQ(store.load(3).status().code(), util::StatusCode::kNotFound);
+  EXPECT_EQ(store.load(1).value(), blob);  // op 6
+  EXPECT_EQ(store.stats().virtual_load_latency_us, 50u + 200u + 50u);
+  EXPECT_EQ(store.stats().virtual_store_latency_us, 1100u);
+}
+
+TEST(ModeledDevice, ForwardsTheMoveStore) {
+  // A MemStore under the device still adopts the spill buffer outright.
+  ModeledDevice store(std::make_unique<MemStore>(),
+                      DeviceModel{.bandwidth_bytes_per_sec = 1e6},
+                      /*node=*/0, /*sleep=*/false);
+  auto bytes = random_blob(4000, 4);
+  ASSERT_TRUE(store.store(1, std::move(bytes)).is_ok());
+  EXPECT_TRUE(bytes.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(store.stats().virtual_store_latency_us, 4000u);  // priced first
+  // A load is priced by the bytes it returns; a miss returns none.
+  EXPECT_EQ(store.load(1).value(), random_blob(4000, 4));
+  EXPECT_FALSE(store.load(2).is_ok());
+  EXPECT_EQ(store.stats().virtual_load_latency_us, 4000u);
 }
 
 TEST(DeviceModel, CostScalesWithBytes) {
@@ -322,9 +400,10 @@ TEST(ObjectStore, AsyncStoreThenLoad) {
 TEST(ObjectStore, DrainWaitsForQueue) {
   util::TimeAccumulator disk;
   ObjectStore store(
-      std::make_unique<LatencyStore>(
+      std::make_unique<ModeledDevice>(
           std::make_unique<MemStore>(),
-          DeviceModel{.access_latency = std::chrono::microseconds(500)}),
+          DeviceModel{.access_latency = std::chrono::microseconds(500)},
+          /*node=*/0, /*sleep=*/true),
       &disk);
   for (ObjectKey k = 0; k < 20; ++k) {
     store.store_async(k, random_blob(16, k), {});
