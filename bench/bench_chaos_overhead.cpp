@@ -8,7 +8,9 @@
 //   chaos          — deterministic + fault plan + full event trace
 //
 // The interesting number is the deterministic/threaded ratio: it bounds
-// how much slower a chaos repro is than the failure it reproduces.
+// how much slower a chaos repro is than the failure it reproduces. Each row
+// is the median of kRuns runs, each on a fresh cluster, so the threaded row
+// is always a cluster's first run, which wakes the node workers.
 
 #include "bench_common.hpp"
 #include "chaos/chaos.hpp"
@@ -26,6 +28,8 @@ struct Config {
   bool faults = false;
   bool degraded = false;
 };
+
+constexpr int kRuns = 7;
 
 struct Outcome {
   double seconds = 0.0;
@@ -97,14 +101,21 @@ int main() {
        .degraded = true},
   };
   for (const std::size_t routes : {64ul, 256ul}) {
-    Table table({"driver", "routes", "seconds", "hops", "trace events",
-                 "vs threaded"});
+    Table table({"driver", "routes", "ms (median)", "ms (range)", "hops",
+                 "trace events", "vs threaded"});
     double base = 0.0;
     for (const Config& cfg : configs) {
-      const Outcome out = run_config(cfg, routes);
-      if (base == 0.0) base = out.seconds;
-      table.row(cfg.name, routes, out.seconds, out.hops, out.trace_events,
-                util::format("{:.2f}x", base > 0 ? out.seconds / base : 0.0));
+      Timings timings;
+      Outcome out;
+      for (int run = 0; run < kRuns; ++run) {
+        out = run_config(cfg, routes);
+        timings.add_seconds(out.seconds);
+      }
+      const double ms = timings.median_ms();
+      if (base == 0.0) base = ms;
+      table.row(cfg.name, routes, ms, timings.range_ms(), out.hops,
+                out.trace_events,
+                util::format("{:.2f}x", base > 0 ? ms / base : 0.0));
     }
     report.add(util::format("routes={}", routes), std::move(table));
   }

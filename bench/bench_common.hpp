@@ -6,6 +6,7 @@
 // a `# paper:` line stating the qualitative expectation from the paper so
 // EXPERIMENTS.md can record paper-vs-measured side by side.
 
+#include <algorithm>
 #include <charconv>
 #include <cstdio>
 #include <fstream>
@@ -87,6 +88,31 @@ class Table {
 
   std::vector<std::string> columns_;
   std::vector<std::vector<std::string>> rows_;
+};
+
+/// Wall times of the repeated runs behind one table row. A row that one run
+/// would leave at the mercy of a single scheduling hiccup prints the median
+/// and the range of several, in milliseconds.
+class Timings {
+ public:
+  void add_seconds(double seconds) { ms_.push_back(seconds * 1e3); }
+
+  [[nodiscard]] double median_ms() const {
+    std::vector<double> v = ms_;
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    if (n == 0) return 0.0;
+    return n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2.0;
+  }
+  /// "min-max", in milliseconds.
+  [[nodiscard]] std::string range_ms() const {
+    if (ms_.empty()) return "-";
+    const auto [lo, hi] = std::minmax_element(ms_.begin(), ms_.end());
+    return util::format("{:.2f}-{:.2f}", *lo, *hi);
+  }
+
+ private:
+  std::vector<double> ms_;
 };
 
 /// Harness wrapper: prints the usual header/tables on stdout and mirrors

@@ -1,5 +1,6 @@
 #include "core/cluster.hpp"
 
+#include <algorithm>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -106,19 +107,25 @@ std::vector<BusyTimes> busy_snapshot(
   return out;
 }
 
+/// Per-node busy time spent since the `before` snapshot.
+std::vector<BusyTimes> busy_since(
+    const std::vector<BusyTimes>& before,
+    const std::vector<std::unique_ptr<Runtime>>& runtimes) {
+  std::vector<BusyTimes> delta = busy_snapshot(runtimes);
+  for (std::size_t i = 0; i < delta.size(); ++i) {
+    delta[i].comp_seconds -= before[i].comp_seconds;
+    delta[i].comm_seconds -= before[i].comm_seconds;
+    delta[i].disk_seconds -= before[i].disk_seconds;
+  }
+  return delta;
+}
+
 RunReport finish_report(bool timed_out, double total_seconds,
-                        const std::vector<BusyTimes>& before,
-                        const std::vector<BusyTimes>& after,
+                        const std::vector<BusyTimes>& work,
                         const net::FabricStats& fabric_before,
                         const net::FabricStats& fabric_after) {
-  std::vector<BusyTimes> delta(before.size());
-  for (std::size_t i = 0; i < before.size(); ++i) {
-    delta[i] = {after[i].comp_seconds - before[i].comp_seconds,
-                after[i].comm_seconds - before[i].comm_seconds,
-                after[i].disk_seconds - before[i].disk_seconds};
-  }
   RunReport report;
-  static_cast<RunBreakdown&>(report) = make_breakdown(total_seconds, delta);
+  static_cast<RunBreakdown&>(report) = make_breakdown(total_seconds, work);
   report.timed_out = timed_out;
   report.fabric.messages_sent =
       fabric_after.messages_sent - fabric_before.messages_sent;
@@ -241,18 +248,60 @@ void Cluster::maybe_advise_balance() {
 }
 
 RunReport Cluster::run() {
-  if (options_.deterministic) return run_deterministic();
   registry_.seal();
 
   const std::vector<BusyTimes> before = busy_snapshot(runtimes_);
   const net::FabricStats fabric_before = fabric_->stats();
-
+  const bool threaded = !options_.deterministic && !sweep_next_run_;
   // Workers start on the first threaded run and persist until ~Cluster.
-  for (std::size_t i = workers_.size(); i < runtimes_.size(); ++i) {
+  for (std::size_t i = workers_.size(); threaded && i < runtimes_.size();
+       ++i) {
     workers_.emplace_back([this, i] { worker_loop(static_cast<NodeId>(i)); });
   }
   const RunningFlag running(running_);
   util::WallTimer timer;
+  bool timed_out = false;
+  std::uint64_t sweeps = 0;
+  try {
+    if (threaded) {
+      timed_out = run_workers(timer);
+    } else {
+      sweeps = sweep(timer, timed_out);
+    }
+  } catch (...) {
+    run_error_ = std::current_exception();  // a node the sweep drove threw
+  }
+  for (auto& rt : runtimes_) rt->flush_stores();
+  if (run_error_) std::rethrow_exception(std::exchange(run_error_, {}));
+  const double seconds = timer.seconds();
+  const std::vector<BusyTimes> work = busy_since(before, runtimes_);
+  if (!options_.deterministic) choose_driver(threaded, seconds, work);
+  RunReport report = finish_report(timed_out, seconds, work, fabric_before,
+                                   fabric_->stats());
+  if (options_.deterministic) report.det_steps = sweeps;
+  return report;
+}
+
+void Cluster::choose_driver(bool threaded, double seconds,
+                            const std::vector<BusyTimes>& work) {
+  double total = 0.0;
+  double busiest = 0.0;
+  for (const BusyTimes& t : work) {
+    const double node = t.comp_seconds + t.comm_seconds + t.disk_seconds;
+    total += node;
+    busiest = std::max(busiest, node);
+  }
+  // Workers finish a run in about its busiest node's work plus the wake
+  // and park; one thread in about the sum of all nodes' work. The smallest
+  // overhead seen, not the last, so one slow wake-up cannot send heavy
+  // runs to the sweep.
+  if (threaded) {
+    min_wake_overhead_s_ = std::min(min_wake_overhead_s_, seconds - busiest);
+  }
+  sweep_next_run_ = total - busiest < min_wake_overhead_s_;
+}
+
+bool Cluster::run_workers(const util::WallTimer& timer) {
   run_over_.store(false, std::memory_order_relaxed);
   nodes_turned_.store(0, std::memory_order_relaxed);
   {
@@ -295,13 +344,8 @@ RunReport Cluster::run() {
     }
     detector_bell_.wait_for(kScanFallback);
   }
-
   stop_workers();
-  for (auto& rt : runtimes_) rt->flush_stores();
-  if (worker_error_) std::rethrow_exception(std::exchange(worker_error_, {}));
-  return finish_report(timed_out, timer.seconds(), before,
-                       busy_snapshot(runtimes_), fabric_before,
-                       fabric_->stats());
+  return timed_out;
 }
 
 void Cluster::worker_loop(NodeId id) {
@@ -325,7 +369,7 @@ void Cluster::worker_loop(NodeId id) {
         did = rt.progress_once();
       } catch (...) {
         std::lock_guard lock(park_mutex_);
-        if (!worker_error_) worker_error_ = std::current_exception();
+        if (!run_error_) run_error_ = std::current_exception();
         run_over_.store(true, std::memory_order_release);
         detector_bell_.ring();
         break;
@@ -358,69 +402,73 @@ void Cluster::stop_workers() {
   parked_cv_.wait(lock, [this] { return busy_workers_ == 0; });
 }
 
-RunReport Cluster::run_deterministic() {
-  registry_.seal();
-
-  const std::vector<BusyTimes> before = busy_snapshot(runtimes_);
-  const net::FabricStats fabric_before = fabric_->stats();
-
-  // Virtual time is the sweep counter. Each sweep visits every node once in
-  // a seeded shuffled order; everything runs on this thread, so the whole
-  // schedule — and any chaos event trace — is a pure function of the
-  // options and det_seed. Wall time is consulted only for the timeout
-  // safety valve.
+std::uint64_t Cluster::sweep(const util::WallTimer& timer, bool& timed_out) {
+  // A deterministic cluster's virtual time is the sweep counter. Each sweep
+  // visits every node once in a seeded shuffled order; everything runs on
+  // this thread, so the whole schedule — and any chaos event trace — is a
+  // pure function of the options and det_seed. Wall time is consulted only
+  // for the timeout safety valve. A threaded cluster's sweep visits the
+  // nodes in id order and keeps wall-clock time.
+  const bool det = options_.deterministic;
+  StepObserver* const observer = det ? options_.step_observer : nullptr;
   std::uint64_t seed_state = options_.det_seed;
   util::Rng order_rng(util::splitmix64(seed_state));
   std::vector<std::size_t> order(runtimes_.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
 
-  util::WallTimer timer;
-  bool timed_out = false;
+  util::WallTimer balance_timer;
   int quiet_sweeps = 0;
   std::uint64_t step = 0;
-  const RunningFlag running(running_);
   while (quiet_sweeps < 2) {
     ++step;
     if (timer.seconds() > static_cast<double>(options_.max_run_time.count())) {
       timed_out = true;
       break;
     }
-    fabric_->advance_step(step);
-    // Publish the sweep counter as the trace clock so events recorded under
-    // TraceClock::kVirtual line up with the deterministic schedule.
-    obs::TraceRecorder::global().set_virtual_time(step);
-    for (std::size_t i = order.size(); i > 1; --i) {
-      std::swap(order[i - 1], order[order_rng.below(i)]);
+    if (det) {
+      fabric_->advance_step(step);
+      // Publish the sweep counter as the trace clock so events recorded
+      // under TraceClock::kVirtual line up with the deterministic schedule.
+      obs::TraceRecorder::global().set_virtual_time(step);
+      for (std::size_t i = order.size(); i > 1; --i) {
+        std::swap(order[i - 1], order[order_rng.below(i)]);
+      }
     }
     bool did = false;
     for (std::size_t idx : order) {
       const auto id = static_cast<NodeId>(idx);
-      if (options_.step_observer != nullptr &&
-          !options_.step_observer->node_runnable(id, step)) {
+      if (observer != nullptr && !observer->node_runnable(id, step)) {
         continue;  // paused: no polling, no handlers, no I/O this step
       }
       did |= runtimes_[idx]->progress_once();
     }
-    if (options_.step_observer != nullptr) {
-      options_.step_observer->on_step(step);
+    if (observer != nullptr) observer->on_step(step);
+    if (options_.balance.enabled &&
+        (det ? step % 64 == 0
+             : balance_timer.elapsed() >= options_.balance.interval)) {
+      balance_timer.reset();
+      maybe_advise_balance();
     }
-    if (options_.balance.enabled && step % 64 == 0) maybe_advise_balance();
     // Quiet sweep: nobody worked, nobody holds work, and the fabric has
     // nothing in flight or parked. Two in a row mean global quiescence
     // (a paused node with pending work keeps its idle flag false, so a
     // pause can never be mistaken for termination).
     const bool quiet = !did && all_idle() && fabric_->all_delivered() &&
                        fabric_->held_messages() == 0 &&
-                       (options_.step_observer == nullptr ||
-                        options_.step_observer->quiescent());
+                       (observer == nullptr || observer->quiescent());
     quiet_sweeps = quiet ? quiet_sweeps + 1 : 0;
+    if (det || did || quiet) continue;
+    // No node could work, but one still waits on its I/O thread or on a
+    // message in transit: wait for its doorbell, as its idle worker would.
+    for (std::size_t idx : order) {
+      if (!runtimes_[idx]->is_idle()) {
+        fabric_->endpoint(static_cast<NodeId>(idx)).doorbell().wait_for(
+            kIdleWait);
+        break;
+      }
+    }
   }
-  for (auto& rt : runtimes_) rt->flush_stores();
-  RunReport report = finish_report(timed_out, timer.seconds(), before,
-                                   busy_snapshot(runtimes_), fabric_before,
-                                   fabric_->stats());
-  report.det_steps = step;
-  return report;
+  return step;
 }
 
 }  // namespace mrts::core

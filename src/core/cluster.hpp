@@ -18,8 +18,20 @@
 // two consecutive scans that see every node idle, nothing in flight and the
 // same activity. Scans count only once every node has taken one turn in
 // this run, so no idle flag left over from the previous run can end it.
-// The deterministic driver (ClusterOptions::deterministic) starts no
-// threads.
+//
+// Sweep: the calling thread visits every node in turn, running one
+// progress_once() each, until two sweeps in a row find no work, every node
+// idle and nothing in flight. It is the whole of the deterministic driver
+// (ClusterOptions::deterministic), which starts no threads, shuffles the
+// visit order by det_seed and counts sweeps as virtual time. A threaded
+// cluster sweeps a run instead of waking its workers when the previous run
+// showed that one thread would finish first: that run's summed node work
+// (comp + comm + disk) minus its busiest node's work was less than the
+// smallest wake-and-park overhead (wall time minus the busiest node's work)
+// any of its threaded runs has shown. The first run of a cluster wakes the
+// workers. Its sweeps keep wall-clock semantics: a node that waits on its
+// I/O thread or on a message in transit is not idle, and a sweep in which
+// no node could work waits on such a node's doorbell, as its worker would.
 //
 // Usage:
 //   Cluster cluster(options);
@@ -34,6 +46,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -47,6 +60,7 @@
 #include "storage/remote_store.hpp"
 #include "storage/replicated_store.hpp"
 #include "util/doorbell.hpp"
+#include "util/timer.hpp"
 
 namespace mrts::core {
 
@@ -169,9 +183,10 @@ class Cluster {
   /// Runs the parallel phase until global quiescence. May be called
   /// multiple times (multi-phase applications) and from any thread, one
   /// call at a time; counters accumulate, the returned breakdown covers
-  /// this call only. Returns once every node worker has parked again. An
-  /// exception thrown on a node's worker (e.g. by a handler) ends the run
-  /// and is rethrown here.
+  /// this call only. A light run (see the header comment) runs the nodes
+  /// on the calling thread; otherwise run() returns once every node worker
+  /// has parked again. An exception thrown by a node's control loop (e.g.
+  /// by a handler) ends the run and is rethrown here.
   RunReport run();
 
   /// Sum of a per-node counter over all nodes. Quiescent-only: calling this
@@ -193,12 +208,20 @@ class Cluster {
   [[nodiscard]] std::uint64_t global_activity() const;
   [[nodiscard]] bool all_idle() const;
   void maybe_advise_balance();
-  RunReport run_deterministic();
+  /// Drives the run on the calling thread until two sweeps in a row are
+  /// quiet; returns the number of sweeps.
+  std::uint64_t sweep(const util::WallTimer& timer, bool& timed_out);
+  /// Wakes the workers, detects quiescence and parks them again; returns
+  /// whether the run timed out.
+  bool run_workers(const util::WallTimer& timer);
   /// Body of node `id`'s worker thread: parks between runs, drives the
   /// node's control loop during one.
   void worker_loop(NodeId id);
   /// Ends the current threaded run and waits until every worker parked.
   void stop_workers();
+  /// Picks the driver of the next run from this run's per-node work.
+  void choose_driver(bool threaded, double seconds,
+                     const std::vector<BusyTimes>& work);
 
   ClusterOptions options_;
   ObjectTypeRegistry registry_;
@@ -207,16 +230,24 @@ class Cluster {
   std::vector<std::unique_ptr<Runtime>> runtimes_;
   /// Membership view for balance-advice gating; not owned, may be null.
   const MembershipView* membership_ = nullptr;
-  /// True while run()/run_deterministic() is driving node progress.
+  /// True while run() is driving node progress.
   std::atomic<bool> running_{false};
+
+  // --- driver choice (threaded clusters) -------------------------------------
+  /// Smallest wall time minus busiest node's work of any threaded run.
+  double min_wake_overhead_s_ = std::numeric_limits<double>::infinity();
+  /// The next run sweeps on the calling thread; false until a threaded run
+  /// has measured the overhead.
+  bool sweep_next_run_ = false;
 
   // --- threaded driver: persistent node workers -----------------------------
   std::mutex park_mutex_;  // guards the four fields below
   std::uint64_t run_generation_ = 0;  // bumped to start a run
   std::size_t busy_workers_ = 0;      // workers not yet parked after a run
   bool shutting_down_ = false;        // set by ~Cluster
-  /// First exception a worker caught in the current run; run() rethrows it.
-  std::exception_ptr worker_error_;
+  /// First exception a node's control loop threw in the current run, on a
+  /// worker or in a sweep; run() rethrows it.
+  std::exception_ptr run_error_;
   std::condition_variable start_cv_;   // workers wait here for a run
   std::condition_variable parked_cv_;  // run() waits here for the workers
   /// Set to end the current run: by the detector, or by a failing worker.

@@ -12,7 +12,7 @@
 //
 // Timestamps come from the wall clock (nanoseconds since enable()) or, under
 // the deterministic chaos driver, from the driver's virtual step counter
-// (TraceClock::kVirtual; Cluster::run_deterministic publishes each sweep via
+// (TraceClock::kVirtual; a deterministic Cluster::run publishes each sweep via
 // set_virtual_time). Busy-time aggregates always use the wall clock so the
 // overlap cross-check against NodeCounters is meaningful in either mode.
 //

@@ -1,6 +1,7 @@
 // Multi-node tests of the MRTS cluster: remote messaging, the lazy-update
 // distributed directory, migration, multicast collection, termination
-// detection, the threaded driver's worker lifecycle, which spill stacks run
+// detection, which driver runs a run (the workers or a sweep on the calling
+// thread), the threaded driver's worker lifecycle, which spill stacks run
 // their storage inline, the modeled device's virtual clock, and out-of-core
 // behaviour under remote traffic on an inline (kMemory) and a threaded
 // (kFile) stack.
@@ -11,6 +12,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -47,6 +49,10 @@ std::vector<std::byte> arg_u64(std::uint64_t v) {
   return w.take();
 }
 
+/// True on the thread that runs the test body: a handler that sees it ran
+/// on the thread that called Cluster::run().
+thread_local bool t_test_thread = false;
+
 class ClusterTest : public ::testing::Test {
  protected:
   explicit ClusterTest(std::size_t nodes = 4, std::size_t budget_mb = 64,
@@ -60,6 +66,7 @@ class ClusterTest : public ::testing::Test {
     options.spill_tag = "cluster-test-" + std::to_string(::getpid());
     options.max_run_time = std::chrono::seconds(120);
     cluster_ = std::make_unique<Cluster>(options);
+    t_test_thread = true;
     type_ = cluster_->registry().register_type<Box>("box");
     h_add_ = cluster_->registry().register_handler(
         type_, [](Runtime&, MobileObject& obj, MobilePtr, NodeId,
@@ -81,7 +88,21 @@ class ClusterTest : public ::testing::Test {
             rt.send(peer, h_pingpong_, w.take());
           }
         });
+    // Ballast: sleeps (so nodes on a shared core still overlap) for as long
+    // as calibrate_ballast() set.
+    h_ballast_ = cluster_->registry().register_handler(
+        type_, [this](Runtime&, MobileObject&, MobilePtr, NodeId,
+                      util::ByteReader&) {
+          std::this_thread::sleep_for(
+              std::chrono::duration<double>(ballast_seconds_));
+        });
+    h_where_ = cluster_->registry().register_handler(
+        type_, [this](Runtime&, MobileObject&, MobilePtr, NodeId,
+                      util::ByteReader&) {
+          probe_on_caller_.store(t_test_thread ? 1 : 0);
+        });
   }
+  ~ClusterTest() override { t_test_thread = false; }
 
   Box& box_on(NodeId node, MobilePtr p) {
     auto* obj = cluster_->node(node).peek(p);
@@ -89,9 +110,94 @@ class ClusterTest : public ::testing::Test {
     return static_cast<Box&>(*obj);
   }
 
+  /// Posts the ballast to every node.
+  void post_ballast() {
+    for (NodeId id = 0; id < cluster_->size(); ++id) {
+      if (ballast_.size() == id) {
+        auto [p, box] = cluster_->node(id).create<Box>(type_);
+        cluster_->node(id).lock_in_core(p);
+        ballast_.push_back(p);
+      }
+      cluster_->node(id).send(ballast_[id], h_ballast_, arg_u64(0));
+    }
+  }
+
+  /// Posts a probe message from node 0 to an object on the last node; after
+  /// the run, probe_swept() tells whether its handler ran on this thread.
+  void post_probe() {
+    if (!probe_.has_value()) {
+      const auto last = static_cast<NodeId>(cluster_->size() - 1);
+      probe_ = cluster_->node(last).create<Box>(type_).first;
+    }
+    probe_on_caller_.store(-1);
+    cluster_->node(0).send(*probe_, h_where_, arg_u64(0));
+  }
+  [[nodiscard]] bool probe_swept() const {
+    EXPECT_NE(probe_on_caller_.load(), -1) << "the probe did not run";
+    return probe_on_caller_.load() == 1;
+  }
+
+  /// One run with a probe (and the ballast when `ballast`): did it sweep?
+  bool probe_run_swept(bool ballast = false) {
+    post_probe();
+    if (ballast) post_ballast();
+    const RunReport report = cluster_->run();
+    EXPECT_FALSE(report.timed_out);
+    last_run_seconds_ = report.total_seconds;
+    return probe_swept();
+  }
+
+  /// Runs the cluster's first run, a light one, which wakes the workers,
+  /// and sizes the ballast from it. The rule sweeps a run when the run
+  /// before it did less work on all but its busiest node than the smallest
+  /// wall time minus busiest node's work of any threaded run, and that is
+  /// at most this run's wall time. A run whose ballast sums to twice that
+  /// wall time on all but one node therefore sends the next run to the
+  /// workers, however loaded the host.
+  void calibrate_ballast() {
+    EXPECT_FALSE(probe_run_swept()) << "the first run swept";
+    ballast_seconds_ = 2.0 * last_run_seconds_ /
+                       static_cast<double>(cluster_->size() - 1);
+  }
+
+  /// Readies the cluster for run_threaded(), before any work is posted:
+  /// calibrates the ballast on the cluster's first run, then runs the
+  /// ballast once, which sweeps because the run before it was light.
+  void start_threaded_runs() {
+    calibrate_ballast();
+    EXPECT_TRUE(probe_run_swept(/*ballast=*/true));
+  }
+
+  /// A run that stays on the workers, as its probe checks: the run before
+  /// it carried the ballast (see start_threaded_runs()), and so does this
+  /// one.
+  RunReport run_threaded() {
+    EXPECT_GT(ballast_seconds_, 0.0) << "start_threaded_runs() first";
+    post_ballast();
+    post_probe();
+    const RunReport report = cluster_->run();
+    EXPECT_FALSE(probe_swept()) << "a run after a ballast run swept";
+    return report;
+  }
+
+  /// run_threaded() when `threaded`, else a plain run(): its first run
+  /// wakes the workers and its light later runs sweep.
+  RunReport run_on(bool threaded) {
+    return threaded ? run_threaded() : cluster_->run();
+  }
+
+  // Test bodies with a threaded and a sweeping instance.
+  void two_phase_runs_accumulate(bool threaded);
+  void back_to_back_pingpong_runs(bool threaded);
+
   std::unique_ptr<Cluster> cluster_;
   TypeId type_ = 0;
-  HandlerId h_add_ = 0, h_pingpong_ = 0;
+  HandlerId h_add_ = 0, h_pingpong_ = 0, h_ballast_ = 0, h_where_ = 0;
+  std::vector<MobilePtr> ballast_;  // one pinned object per node
+  double ballast_seconds_ = 0.0;    // per node; 0 until calibrated
+  double last_run_seconds_ = 0.0;   // wall time of the last probe run
+  std::optional<MobilePtr> probe_;
+  std::atomic<int> probe_on_caller_{-1};
 };
 
 TEST_F(ClusterTest, RemoteSendReachesHomeNode) {
@@ -190,14 +296,25 @@ TEST_F(ClusterTest, MulticastFromNonOwnerRoutesToOwner) {
   EXPECT_EQ(box_on(1, b).value, 0u);
 }
 
-TEST_F(ClusterTest, TwoPhaseRunsAccumulate) {
+// The first run wakes the workers and the second, a light one, sweeps; the
+// threaded instance keeps both on the workers.
+void ClusterTest::two_phase_runs_accumulate(bool threaded) {
+  if (threaded) start_threaded_runs();
   auto [ptr, box] = cluster_->node(0).create<Box>(type_);
   cluster_->node(1).send(ptr, h_add_, arg_u64(1));
-  (void)cluster_->run();
+  (void)run_on(threaded);
   EXPECT_EQ(box_on(0, ptr).value, 1u);
   cluster_->node(1).send(ptr, h_add_, arg_u64(2));
-  (void)cluster_->run();
+  (void)run_on(threaded);
   EXPECT_EQ(box_on(0, ptr).value, 3u);
+}
+
+TEST_F(ClusterTest, TwoPhaseRunsAccumulate) {
+  two_phase_runs_accumulate(/*threaded=*/false);
+}
+
+TEST_F(ClusterTest, TwoPhaseThreadedRunsAccumulate) {
+  two_phase_runs_accumulate(/*threaded=*/true);
 }
 
 TEST_F(ClusterTest, EmptyRunTerminatesImmediately) {
@@ -235,13 +352,36 @@ TEST_F(ClusterTest, SumCountersThrowsWhileRunInFlight) {
   EXPECT_GE(executed, 1u);
 }
 
+// --- which driver runs a run -------------------------------------------------
+
+TEST_F(ClusterTest, FirstRunWakesTheWorkers) {
+  EXPECT_FALSE(probe_run_swept());
+}
+
+TEST_F(ClusterTest, LightRunAfterAThreadedOneSweepsOnTheCallingThread) {
+  EXPECT_FALSE(probe_run_swept());
+  EXPECT_TRUE(probe_run_swept());
+  EXPECT_TRUE(probe_run_swept());
+}
+
+TEST_F(ClusterTest, RunAfterAHeavyOneGoesBackToTheWorkers) {
+  calibrate_ballast();
+  EXPECT_TRUE(probe_run_swept());
+  // The run before this one was light, so this one sweeps, ballast and
+  // all; its work is what the next run is judged by.
+  EXPECT_TRUE(probe_run_swept(/*ballast=*/true));
+  EXPECT_FALSE(probe_run_swept());
+  EXPECT_TRUE(probe_run_swept());
+}
+
 // --- threaded driver lifecycle ----------------------------------------------
 
 TEST_F(ClusterTest, NodeKeepsItsWorkerThreadAcrossRuns) {
   // A thread_local set by a handler in one run is visible to the next run's
   // handler on the same node only if the same thread drives the node. (A
   // std::thread::id comparison would not do: a new thread may reuse an
-  // exited thread's descriptor and report the same id.)
+  // exited thread's descriptor and report the same id.) Each run follows a
+  // run that carried the ballast, so both wake the workers.
   static thread_local std::uint64_t t_mark = 0;
   std::atomic<std::uint64_t> seen{~std::uint64_t{0}};
   const HandlerId h_mark = cluster_->registry().register_handler(
@@ -250,16 +390,20 @@ TEST_F(ClusterTest, NodeKeepsItsWorkerThreadAcrossRuns) {
         seen.store(t_mark);
         t_mark = in.read<std::uint64_t>();
       });
+  start_threaded_runs();
   auto [ptr, box] = cluster_->node(2).create<Box>(type_);
   cluster_->node(0).send(ptr, h_mark, arg_u64(7));
-  ASSERT_FALSE(cluster_->run().timed_out);
+  ASSERT_FALSE(run_threaded().timed_out);
   EXPECT_EQ(seen.load(), 0u);
   cluster_->node(0).send(ptr, h_mark, arg_u64(8));
-  ASSERT_FALSE(cluster_->run().timed_out);
+  ASSERT_FALSE(run_threaded().timed_out);
   EXPECT_EQ(seen.load(), 7u);
 }
 
-TEST_F(ClusterTest, ThousandBackToBackPingPongRunsEachCountExactly) {
+// Light ping-pong chains sweep after the first run; the threaded instance
+// parks, wakes and stops the workers a thousand times.
+void ClusterTest::back_to_back_pingpong_runs(bool threaded) {
+  if (threaded) start_threaded_runs();
   auto [a, boxa] = cluster_->node(0).create<Box>(type_);
   auto [b, boxb] = cluster_->node(3).create<Box>(type_);
   constexpr std::uint64_t kHops = 6;  // handler executions per run
@@ -268,38 +412,68 @@ TEST_F(ClusterTest, ThousandBackToBackPingPongRunsEachCountExactly) {
     w.write<std::uint64_t>(kHops - 1);
     w.write(a.id);
     cluster_->node(1).send(b, h_pingpong_, w.take());
-    const RunReport report = cluster_->run();
+    const RunReport report = run_on(threaded);
     ASSERT_FALSE(report.timed_out) << "run " << run;
     ASSERT_EQ(box_on(0, a).value + box_on(3, b).value, run * kHops)
         << "run " << run;
   }
 }
 
+TEST_F(ClusterTest, ThousandBackToBackPingPongRunsEachCountExactly) {
+  back_to_back_pingpong_runs(/*threaded=*/false);
+}
+
+TEST_F(ClusterTest, ThousandBackToBackThreadedPingPongRunsEachCountExactly) {
+  back_to_back_pingpong_runs(/*threaded=*/true);
+}
+
 TEST_F(ClusterTest, HandlerExceptionEndsTheRunAndIsRethrown) {
-  // The fixture's threaded cluster, then a deterministic one: either driver
-  // ends the run on the exception and leaves the cluster readable.
-  ClusterOptions det;
-  det.nodes = 2;
-  det.spill = SpillMedium::kMemory;
+  // The fixture's threaded cluster on its first run (on the workers), a
+  // threaded cluster after a light run (a sweep on this thread), and a
+  // deterministic one: every driver ends the run on the exception and
+  // leaves the cluster readable.
+  ClusterOptions small;
+  small.nodes = 2;
+  small.spill = SpillMedium::kMemory;
+  small.max_run_time = std::chrono::seconds(120);
+  Cluster swept(small);
+  ClusterOptions det = small;
   det.deterministic = true;
-  det.max_run_time = std::chrono::seconds(120);
   Cluster det_cluster(det);
-  const TypeId det_type = det_cluster.registry().register_type<Box>("box");
-  for (auto [cluster, type] : {std::pair(cluster_.get(), type_),
-                               std::pair(&det_cluster, det_type)}) {
-    SCOPED_TRACE(cluster == &det_cluster ? "deterministic" : "threaded");
-    const HandlerId h_throw = cluster->registry().register_handler(
-        type,
-        [](Runtime&, MobileObject&, MobilePtr, NodeId, util::ByteReader&) {
+  struct Input {
+    const char* driver;
+    Cluster* cluster;
+    bool on_this_thread;
+    HandlerId h_throw = 0;
+    MobilePtr target{};
+  };
+  std::vector<Input> inputs = {{"threaded", cluster_.get(), false},
+                               {"swept", &swept, true},
+                               {"deterministic", &det_cluster, true}};
+  std::atomic<int> thrown_on_this_thread{-1};
+  for (Input& in : inputs) {
+    Cluster& cluster = *in.cluster;
+    const TypeId type = &cluster == cluster_.get()
+                            ? type_
+                            : cluster.registry().register_type<Box>("box");
+    in.h_throw = cluster.registry().register_handler(
+        type, [&thrown_on_this_thread](Runtime&, MobileObject&, MobilePtr,
+                                       NodeId, util::ByteReader&) {
+          thrown_on_this_thread.store(t_test_thread ? 1 : 0);
           throw std::runtime_error("handler failed");
         });
-    const NodeId last = static_cast<NodeId>(cluster->size() - 1);
-    auto [ptr, box] = cluster->node(last).create<Box>(type);
-    cluster->node(0).send(ptr, h_throw, arg_u64(0));
-    EXPECT_THROW((void)cluster->run(), std::runtime_error);
+    const auto last = static_cast<NodeId>(cluster.size() - 1);
+    in.target = cluster.node(last).create<Box>(type).first;
+  }
+  ASSERT_FALSE(swept.run().timed_out);  // empty: the next run sweeps
+  for (const Input& in : inputs) {
+    SCOPED_TRACE(in.driver);
+    in.cluster->node(0).send(in.target, in.h_throw, arg_u64(0));
+    EXPECT_THROW((void)in.cluster->run(), std::runtime_error);
+    EXPECT_EQ(thrown_on_this_thread.exchange(-1), in.on_this_thread ? 1 : 0);
     // Every worker parked again: the counters are readable and the cluster
     // tears down cleanly.
-    EXPECT_NO_THROW((void)cluster->sum_counters(
+    EXPECT_NO_THROW((void)in.cluster->sum_counters(
         [](const NodeCounters& c) { return c.messages_executed.load(); }));
   }
 }
@@ -480,6 +654,8 @@ class OocClusterTest : public ClusterTest,
                        public ::testing::WithParamInterface<SpillMedium> {
  protected:
   OocClusterTest() : ClusterTest(2, /*budget_mb=*/1, GetParam()) {}
+
+  void leftover_idle_flags_cannot_end_the_next_run(bool threaded);
 };
 
 INSTANTIATE_TEST_SUITE_P(
@@ -527,7 +703,12 @@ TEST_P(OocClusterTest, RemoteTrafficDrivesSwapping) {
   }
 }
 
-TEST_P(OocClusterTest, LeftoverIdleFlagsCannotEndTheNextRun) {
+// The plain instance sweeps its light runs after the first; the threaded
+// instance keeps every run on the workers, where the detector must not end a
+// run on a flag left over from the run before.
+void OocClusterTest::leftover_idle_flags_cannot_end_the_next_run(
+    bool threaded) {
+  if (threaded) start_threaded_runs();
   // After a run every node's idle flag reads true. Shrinking a budget
   // between runs issues spill stores from the calling thread without
   // touching that flag, so a detector that scanned before every node took
@@ -542,21 +723,29 @@ TEST_P(OocClusterTest, LeftoverIdleFlagsCannotEndTheNextRun) {
   }
   const std::size_t budget = rt.memory_budget_bytes();
   for (int round = 0; round < 10; ++round) {
-    ASSERT_FALSE(cluster_->run().timed_out);
+    ASSERT_FALSE(run_on(threaded).timed_out);
     rt.set_memory_budget(budget / 8);
     ASSERT_GT(rt.write_behind_inflight_bytes(), 0u) << "round " << round;
-    ASSERT_FALSE(cluster_->run().timed_out);
+    ASSERT_FALSE(run_on(threaded).timed_out);
     EXPECT_EQ(rt.write_behind_inflight_bytes(), 0u) << "round " << round;
     // Reload everything for the next round.
     rt.set_memory_budget(budget);
     for (MobilePtr p : ptrs) rt.lock_in_core(p);
-    ASSERT_FALSE(cluster_->run().timed_out);
+    ASSERT_FALSE(run_on(threaded).timed_out);
     for (MobilePtr p : ptrs) {
       ASSERT_TRUE(rt.is_in_core(p));
       rt.unlock(p);
       rt.refresh_footprint(p);  // dirty, so the next shrink really stores
     }
   }
+}
+
+TEST_P(OocClusterTest, LeftoverIdleFlagsCannotEndTheNextRun) {
+  leftover_idle_flags_cannot_end_the_next_run(/*threaded=*/false);
+}
+
+TEST_P(OocClusterTest, LeftoverIdleFlagsCannotEndTheNextThreadedRun) {
+  leftover_idle_flags_cannot_end_the_next_run(/*threaded=*/true);
 }
 
 TEST_P(OocClusterTest, BreakdownCountersPopulated) {

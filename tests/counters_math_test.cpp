@@ -84,7 +84,7 @@ TEST(MakeBreakdown, EmptyNodeListGivesZeroBreakdown) {
 }
 
 // The same numbers driven end-to-end through NodeCounters'
-// TimeAccumulators, the path Cluster::run_deterministic uses.
+// TimeAccumulators, the path a deterministic Cluster::run uses.
 TEST(NodeCounters, AccumulatorDrivenGoldenBreakdown) {
   NodeCounters a;
   NodeCounters b;
